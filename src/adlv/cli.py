@@ -6,7 +6,9 @@ Command-line front end.
     adlv element --n 5 --word 0,1,2 [--omega -2] [--show fields]
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  ADLV_BFS_BUDGET overrides the node
+1 verification failure, 2 usage error, 3 no failure but some verify check
+undecided because its bounded search ran out of budget (printed as
+``[budget] <check>: undecided (...)``).  ADLV_BFS_BUDGET overrides the node
 budget of the bounded searches.
 """
 
@@ -23,6 +25,7 @@ from .gu import StratumClass, StratumLabel
 from .weyl import from_word
 
 USAGE_ERROR = 2
+UNDECIDED = 3  # a verify check ran out of search budget
 
 SUITES = ("oracle", "closedforms", "reduction", "figures", "all")
 
@@ -154,93 +157,88 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-CheckResult = tuple[str, bool, str]
+CheckResult = tuple[str, Optional[bool], str]  # ok is None: undecided
+
+
+def _per_rank(suite: str, ranks: Iterable[int],
+              check: Callable[[int], tuple[bool, str]]) -> list[CheckResult]:
+    """Run ``check`` rank by rank up to the first failure; a rank whose
+    bounded search runs out of budget is reported undecided."""
+    out: list[CheckResult] = []
+    for n in ranks:
+        try:
+            ok, detail = check(n)
+        except roots.BudgetExceededError as exc:
+            out.append((f"{suite} n={n}", None, f"undecided ({exc})"))
+            continue
+        out.append((f"{suite} n={n}", ok, detail))
+        if not ok:
+            break
+    return out
 
 
 def _suite_oracle(n_max: int, budget: int) -> list[CheckResult]:
-    out = []
-    for n in range(2, n_max + 1):
+    def check(n: int) -> tuple[bool, str]:
         for k, l in sorted(gu.s_admissible(n)):
             got = gu.classify_by_criterion(n, k, l, budget)
             want = gu.classify(n, k, l)
             if got is not want:
-                out.append((f"oracle n={n}", False,
-                            f"first counterexample ({k},{l}): closed form "
-                            f"{want.value}, criterion {got.value}"))
-                return out
-        out.append((f"oracle n={n}", True, "closed form = criterion on all labels"))
-    return out
+                return False, (f"first counterexample ({k},{l}): closed form "
+                               f"{want.value}, criterion {got.value}")
+        return True, "closed form = criterion on all labels"
+    return _per_rank("oracle", range(2, n_max + 1), check)
 
 
 def _suite_closedforms(n_max: int, budget: int) -> list[CheckResult]:
-    out = []
-    for n in range(2, n_max + 1):
+    def check(n: int) -> tuple[bool, str]:
         for k, l in sorted(gu.s_admissible(n)):
             w = gu.w_kl(n, k, l)
             if w.length() != k + l - 3:
-                out.append((f"closedforms n={n}", False,
-                            f"length of ({k},{l}) is {w.length()}, not {k + l - 3}"))
-                return out
+                return False, f"length of ({k},{l}) is {w.length()}, not {k + l - 3}"
             if gu.classify(n, k, l) is StratumClass.EMPTY:
                 continue
             if roots.supp_sigma(w) != gu.supp_sigma_closed(n, k, l):
-                out.append((f"closedforms n={n}", False,
-                            f"twisted support mismatch at ({k},{l})"))
-                return out
+                return False, f"twisted support mismatch at ({k},{l})"
             if roots.s_w_sigma(w) != gu.s_closed(n, k, l):
-                out.append((f"closedforms n={n}", False,
-                            f"stable-subset mismatch at ({k},{l})"))
-                return out
+                return False, f"stable-subset mismatch at ({k},{l})"
         if gu.dim_basic_locus(n) != n - 2 or gu.irr_orbit_count(n) != n // 2:
-            out.append((f"closedforms n={n}", False, "dimension/component count"))
-            return out
-        out.append((f"closedforms n={n}", True,
-                    "lengths, supports, stable subsets, dimensions"))
-    return out
+            return False, "dimension/component count"
+        return True, "lengths, supports, stable subsets, dimensions"
+    return _per_rank("closedforms", range(2, n_max + 1), check)
 
 
 def _suite_reduction(n_max: int, budget: int) -> list[CheckResult]:
-    out = []
     chain = reduction.verify_chain(
         gu.w_kl(5, 1, 5), (3, 0, 1),
         from_word(5, [1], omega=-2, similitude=-1))
-    out.append(("reduction chain convention", bool(chain),
-                "superscript word s3 s0 s1 at n=5"))
+    out: list[CheckResult] = [("reduction chain convention", bool(chain),
+                               "superscript word s3 s0 s1 at n=5")]
     if not chain:
         return out
-    for n in range(5, n_max + 1):
+
+    def check(n: int) -> tuple[bool, str]:
         labels = [lab for lab in sorted(gu.s_admissible(n))
                   if gu.classify(n, *lab) is StratumClass.NOT_DL]
         for k, l in labels:
             w, target = gu.w_kl(n, k, l), gu.w_kl(n, *gu.w_prime(n, k, l))
             cert = reduction.find_reduction(w, target, budget)
             if cert is None or not cert.verify():
-                out.append((f"reduction n={n}", False,
-                            f"no verified certificate for ({k},{l})"))
-                return out
+                return False, f"no verified certificate for ({k},{l})"
             leveled = reduction.find_reduction(w, target, budget,
                                                level=gu.s_closed(n, k, l))
             if leveled is None or not leveled.verify():
-                out.append((f"reduction n={n}", False,
-                            f"no level-certified reduction for ({k},{l})"))
-                return out
-        out.append((f"reduction n={n}", True,
-                    f"{len(labels)} certificates found and re-verified, "
-                    "plain and at the stratum level"))
-    return out
+                return False, f"no level-certified reduction for ({k},{l})"
+        return True, (f"{len(labels)} certificates found and re-verified, "
+                      "plain and at the stratum level")
+    return out + _per_rank("reduction", range(5, n_max + 1), check)
 
 
 def _suite_figures(n_max: int, budget: int) -> list[CheckResult]:
-    out = []
-    for n in (13, 14):
-        computed = gu.graph_summary(gu.stratum_graph(n))
-        golden = gu.load_golden_summary(n)
-        ok = computed == golden
-        detail = "node and edge sets match the transcription"
-        if not ok:
-            detail = "computed graph differs from the golden transcription"
-        out.append((f"figures n={n}", ok, detail))
-    return out
+    def check(n: int) -> tuple[bool, str]:
+        if gu.graph_summary(gu.stratum_graph(n)) == gu.load_golden_summary(n):
+            return True, "node and edge sets match the transcription"
+        return False, "computed graph differs from the golden transcription"
+    return _per_rank("figures", (13, 14), check)
 
 
 def _run_suites(suite: str, n_max: Optional[int], budget: int) -> list[CheckResult]:
@@ -260,12 +258,13 @@ def _run_suites(suite: str, n_max: Optional[int], budget: int) -> list[CheckResu
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _run_suites(args.suite, args.n_max, _budget())
-    failed = False
+    status = {True: "ok", False: "FAIL", None: "budget"}
     for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        failed = failed or not ok
-    return 1 if failed else 0
+        print(f"[{status[ok]}] {name}: {detail}")
+    outcomes = {ok for _, ok, _ in results}
+    if False in outcomes:
+        return 1
+    return UNDECIDED if None in outcomes else 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ is admitted when it does not increase length; its kind records whether the
 length is preserved or drops by two.  Chains of arrows are written in
 superscript order: the word (a_k, ..., a_1, a_0) means "apply s_{a_0} first,
 then s_{a_1}, ...", i.e. the input list is consumed right to left.  Equal
-length elements connected by arrows form classes explored by bounded
-breadth-first search; running out of budget raises (it is never reported as
-"not equivalent").
+length elements connected by arrows form classes explored by one bounded
+breadth-first search, ``_class_bfs``, which stops at the first arrow a hook
+accepts (``approx_equiv`` looks for the other element, ``find_reduction`` for
+a length drop into the target's class); running out of budget raises (it is
+never reported as "not equivalent").
 
 ``is_empty_basic`` decides emptiness of the basic-locus piece attached to a
 minimal coset representative w = phi^λ·y: the piece is empty iff
@@ -19,10 +21,14 @@ minimal coset representative w = phi^λ·y: the piece is empty iff
     (ii) some r with Inv(r) ⊆ Phi_w has supp_sigma(r·y·sigma(r)⁻¹) a proper
          subset of the finite diagram.
 
-Condition (ii) is searched over the same inversion-constrained BFS used for
-R(w), stopping at the first witness.  An equivalent formulation quantified
-over length-positive elements v (testing sigma(v)⁻¹·p(w)·v instead) is kept
-alongside and compared in the test suite.
+Condition (ii) and positive-Coxeter detection share one search,
+``_find_twisted_conjugate``: it walks the inversion ideal of R(w), forms the
+finite window u = r·z·sigma(r)⁻¹ with z = y·sigma(x) from w = x·phi^λ·y, and
+stops at the first r whose window passes a window-level predicate (proper
+twisted support, or twisted Coxeter).  An equivalent formulation quantified
+over length-positive elements v (testing sigma(v)⁻¹·p(w)·v with element
+arithmetic) is kept alongside as the reference; it walks the same ideal
+lazily, stops at its first witness, and is compared in the test suite.
 """
 
 from __future__ import annotations
@@ -30,14 +36,12 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .weyl import (
     WeylElement,
     decompose_xmy,
     simple_ref,
-    _finite_part,
-    _inv,
     _left_descent,
     _left_mul,
     _mul,
@@ -48,8 +52,8 @@ from .roots import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     _iter_inv_ideal,
-    is_sigma_coxeter_finite,
-    lp_set,
+    _proper_twisted_support,
+    _sigma_coxeter_window,
     phi_w,
     supp_sigma,
     supp_sigma_finite,
@@ -205,19 +209,22 @@ def _conj_delta(win: tuple[int, ...], i: int, n: int) -> tuple[tuple[int, ...], 
     return _left_mul(u, i), d_r + d_l
 
 
-def _class_bfs(start: tuple[int, ...], n: int, budget: int,
-               stop_at: Optional[tuple[int, ...]] = None,
-               letters: Optional[list[int] | range] = None
-               ) -> dict[tuple[int, ...], Optional[tuple[tuple[int, ...], int]]]:
+Window = tuple[int, ...]
+
+
+def _class_bfs(start: Window, n: int, budget: int, letters: list[int] | range,
+               stop: Optional[Callable[[Window, int, Window, int], bool]] = None
+               ) -> tuple[dict[Window, Optional[tuple[Window, int]]],
+                          Optional[tuple[Window, int, Window]]]:
     """
     Explore the equal-length class of ``start`` under admitted
-    length-preserving arrows (optionally restricted to the given letters).
-    Returns window -> (parent window, letter), with None at the root.  If
-    ``stop_at`` is given, stops as soon as it is reached.
+    length-preserving arrows by the given letters.  Returns the parent map
+    (window -> (parent window, letter), None at the root) and the first
+    arrow ``(node, letter, image)`` leaving a class node for which
+    ``stop(node, letter, image, length change)`` holds; the search ends
+    there.  The arrow is None when the class is exhausted first.
     """
-    if letters is None:
-        letters = range(n)
-    parents: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], int]]] = {start: None}
+    parents: dict[Window, Optional[tuple[Window, int]]] = {start: None}
     queue = deque([start])
     visited = 0
     while queue:
@@ -231,9 +238,9 @@ def _class_bfs(start: tuple[int, ...], n: int, budget: int,
             if delta == 0 and new not in parents:
                 parents[new] = (cur, i)
                 queue.append(new)
-                if new == stop_at:
-                    return parents
-    return parents
+            if stop is not None and stop(cur, i, new, delta):
+                return parents, (cur, i, new)
+    return parents, None
 
 
 def _path_letters(parents, node) -> list[int]:
@@ -254,8 +261,10 @@ def approx_equiv(w: WeylElement, other: WeylElement,
     if (w.length() != other.length() or w.similitude != other.similitude
             or w.omega() != other.omega()):
         return False
-    parents = _class_bfs(w.window, w.n, budget, stop_at=other.window)
-    return other.window in parents
+    goal = other.window
+    parents, _ = _class_bfs(w.window, w.n, budget, range(w.n),
+                            lambda node, i, image, delta: image == goal)
+    return goal in parents
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,38 +327,24 @@ def find_reduction(w: WeylElement, target: WeylElement,
             raise LevelViolationError(
                 "source is not minimal in its coset at the supplied level")
         letters = [i for i in range(n) if commutes_with_level(n, i, level)]
-    target_parents = _class_bfs(target.window, n, budget, letters=letters)
-    source_parents: dict[tuple[int, ...], Optional[tuple[tuple[int, ...], int]]]
-    source_parents = {w.window: None}
-    queue = deque([w.window])
-    visited = 0
-    while queue:
-        cur = queue.popleft()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(
-                f"equal-length class search exceeded {budget} nodes")
-        for i in letters:
-            new, delta = _conj_delta(cur, i, n)
-            if delta == 0:
-                if new not in source_parents:
-                    source_parents[new] = (cur, i)
-                    queue.append(new)
-            elif delta == -2 and new in target_parents:
-                to_pivot = _path_letters(source_parents, cur)
-                back = _path_letters(target_parents, new)
-                sim = w.similitude
-                return ReductionCertificate(
-                    source=w,
-                    to_pivot=tuple(reversed(to_pivot)),
-                    pivot=WeylElement(cur, sim),
-                    s=i,
-                    dropped=WeylElement(new, sim),
-                    to_target=tuple(back),
-                    target=target,
-                    level=level,
-                )
-    return None
+    target_parents, _ = _class_bfs(target.window, n, budget, letters)
+    source_parents, hit = _class_bfs(
+        w.window, n, budget, letters,
+        lambda node, i, image, delta: delta == -2 and image in target_parents)
+    if hit is None:
+        return None
+    pivot, s, dropped = hit
+    sim = w.similitude
+    return ReductionCertificate(
+        source=w,
+        to_pivot=tuple(reversed(_path_letters(source_parents, pivot))),
+        pivot=WeylElement(pivot, sim),
+        s=s,
+        dropped=WeylElement(dropped, sim),
+        to_target=tuple(_path_letters(target_parents, dropped)),
+        target=target,
+        level=level,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +357,27 @@ class EmptinessVerdict:
     witness: Optional[WeylElement] = None  # finite r, present iff empty
 
 
+def _find_twisted_conjugate(w: WeylElement, budget: int,
+                            pred: Callable[[list[int]], bool]) -> Optional[Window]:
+    """
+    The first r in the walk of the ideal Inv(r) ⊆ Phi_w for which
+    ``pred(u)`` holds on the finite window u = r·z·sigma(r)⁻¹, z = y·sigma(x)
+    from w = x·phi^λ·y; None when the ideal is exhausted.  With v = y⁻¹·r⁻¹
+    in LP(w), u is the sigma-twist of sigma(v)⁻¹·p(w)·v, and z = y when w is
+    a minimal coset representative.
+    """
+    n = w.n
+    x, _, y = decompose_xmy(w)
+    z = _mul(y.window, _sigma(x.window))
+    # sigma(r)⁻¹(i) = n + 1 - r⁻¹(n + 1 - i), so u(i) = r(z(n + 1 - q)) with
+    # q = r⁻¹(n + 1 - i); zq[q] is that inner index, 0-based into r
+    zq = [0] + [z[n - q] - 1 for q in range(1, n + 1)]
+    for r_win, pos in _iter_inv_ideal(n, phi_w(w), budget):
+        if pred([r_win[zq[q]] for q in reversed(pos)]):
+            return r_win
+    return None
+
+
 def is_empty_basic(w: WeylElement, budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
     Decide emptiness for a minimal coset representative (see module
@@ -370,45 +386,30 @@ def is_empty_basic(w: WeylElement, budget: int = DEFAULT_BUDGET) -> EmptinessVer
     """
     if not w.is_min_coset_rep():
         raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")
-    n = w.n
-    if len(supp_sigma(w)) != n:
+    if len(supp_sigma(w)) != w.n:
         return EmptinessVerdict(False)
-    _, _, y = decompose_xmy(w)
-    y_win = y.window
-    allowed = phi_w(w)
-    rng = range(n)
-    for r_win, pos in _iter_inv_ideal(n, allowed, budget):
-        # u = r · y · sigma(r)⁻¹; sigma(r)⁻¹ = sigma(r⁻¹) and pos is r⁻¹,
-        # so u(i) = r(y(n + 1 - r⁻¹(n + 1 - i))), all windows finite
-        mask = 0
-        top = 0
-        for i in rng:
-            v = r_win[y_win[n - pos[n - 1 - i]] - 1]
-            if v > top:
-                top = v
-            if top > i + 1:
-                mask |= 1 << (i + 1)  # s_{i+1} occurs in u
-        # close under s_i -> s_{n-i}; proper iff some index escapes the union
-        for i in range(1, n):
-            if not (mask >> i) & 1 and not (mask >> (n - i)) & 1:
-                return EmptinessVerdict(True, WeylElement(r_win))
-    return EmptinessVerdict(False)
+    r = _find_twisted_conjugate(w, budget, _proper_twisted_support)
+    return EmptinessVerdict(False) if r is None else EmptinessVerdict(True, WeylElement(r))
 
 
 def is_empty_basic_v_form(w: WeylElement,
                           budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
     The same criterion with condition (ii) quantified over length-positive
-    elements v, testing sigma(v)⁻¹ · p(w) · v.  Kept as a cross-check of the
-    primary r-form; the witness, when present, is the v found.
+    elements v = y⁻¹·r⁻¹, testing sigma(v)⁻¹ · p(w) · v with element-level
+    arithmetic.  Kept as the independent reference for the primary r-form;
+    the witness, when present, is the first v of the ideal walk.
     """
     if not w.is_min_coset_rep():
         raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")
     n = w.n
     if len(supp_sigma(w)) != n:
         return EmptinessVerdict(False)
+    _, _, y = decompose_xmy(w)
+    yi = y.inv()
     pw = w.finite_part()
-    for v in sorted(lp_set(w, budget), key=lambda e: e.length()):
+    for _, pos in _iter_inv_ideal(n, phi_w(w), budget):
+        v = yi * WeylElement(pos)
         u = v.sigma().inv() * pw * v
         if len(supp_sigma_finite(u)) < n - 1:
             return EmptinessVerdict(True, v)
@@ -421,14 +422,4 @@ def positive_coxeter_generic(w: WeylElement,
     Whether some length-positive v makes sigma(v)⁻¹ · p(w) · v a twisted
     Coxeter element of the finite group.
     """
-    n = w.n
-    _, _, y = decompose_xmy(w)
-    yi = _inv(y.window)
-    pw_win = _finite_part(w.window)
-    allowed = phi_w(w)
-    for _, pos in _iter_inv_ideal(n, allowed, budget):
-        v_win = _mul(yi, pos)
-        u_win = _mul(_sigma(_inv(v_win)), _mul(pw_win, v_win))
-        if is_sigma_coxeter_finite(WeylElement(u_win)):
-            return True
-    return False
+    return _find_twisted_conjugate(w, budget, _sigma_coxeter_window) is not None

@@ -20,13 +20,21 @@ Supports: supp(w) is the set of letters of a reduced word of the window part
 with the Omega-part split off; supp_sigma closes it under the twist
 s_i -> s_{(m - i) mod n} (conjugation by the Omega-part composed with the
 Frobenius twist, m the Omega-component).  For finite elements the relevant
-twist is s_i -> s_{n-i} inside the finite diagram.
+twist is s_i -> s_{n-i} inside the finite diagram.  Both twists are
+involutions, so adding the image of the support closes it.
+
+An element is twisted Coxeter iff ℓ(w) = |supp(w)| (every support letter
+occurs once in a reduced word) and no two support letters are swapped by the
+twist.  On finite windows this and "proper twisted support" (u stabilizes
+{1..i} and {1..n-i} for some i) are tested without building elements or
+reduced words; the reduction module runs them at every node of its ideal
+search.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .weyl import (
     WeylElement,
@@ -174,28 +182,15 @@ def supp(w: WeylElement) -> frozenset[int]:
     return frozenset(word)
 
 
-def _close_under(base: frozenset[int], image: dict[int, int]) -> frozenset[int]:
-    cur = set(base)
-    grew = True
-    while grew:
-        grew = False
-        for i in list(cur):
-            j = image[i]
-            if j not in cur:
-                cur.add(j)
-                grew = True
-    return frozenset(cur)
-
-
 def supp_sigma(w: WeylElement) -> frozenset[int]:
     """Smallest subset of the affine diagram containing supp(w) and stable
     under the twist s_i -> s_{(m-i) mod n}, m the Omega-component of w."""
     n, m = w.n, w.omega()
-    image = {i: (m - i) % n for i in range(n)}
-    return _close_under(supp(w), image)
+    base = supp(w)
+    return base | {(m - i) % n for i in base}
 
 
-def _supp_finite_window(win: tuple[int, ...]) -> frozenset[int]:
+def _supp_finite_window(win: Sequence[int]) -> frozenset[int]:
     # s_i occurs in a reduced word of u iff u does not stabilize {1..i}
     out = set()
     top = 0
@@ -212,8 +207,24 @@ def supp_sigma_finite(u: WeylElement) -> frozenset[int]:
     if not u.is_finite():
         raise ValueError("finite support requires a finite element")
     n = u.n
-    image = {i: n - i for i in range(1, n)}
-    return _close_under(_supp_finite_window(u.window), image)
+    base = _supp_finite_window(u.window)
+    return base | {n - i for i in base}
+
+
+def _proper_twisted_support(u: Sequence[int]) -> bool:
+    """Whether supp_sigma_finite is proper for the finite window u: u
+    stabilizes both {1..i} and {1..n-i} for some 1 <= i <= n/2, i.e. the
+    first i entries have maximum i and the last i entries minimum n+1-i."""
+    n = len(u)
+    top, bottom = 0, n + 1
+    for i in range(1, n // 2 + 1):
+        if u[i - 1] > top:
+            top = u[i - 1]
+        if u[n - i] < bottom:
+            bottom = u[n - i]
+        if top == i and bottom == n + 1 - i:
+            return True
+    return False
 
 
 def s_w_sigma(w: WeylElement) -> frozenset[int]:
@@ -256,25 +267,28 @@ def sigma_orbits_finite(n: int) -> list[frozenset[int]]:
     return sorted(orbits, key=min)
 
 
-def _one_letter_per_orbit(word: tuple[int, ...],
-                          orbits: list[frozenset[int]]) -> bool:
-    counts = {id(o): 0 for o in orbits}
-    lookup = {i: id(o) for o in orbits for i in o}
-    for a in word:
-        counts[lookup[a]] += 1
-    return all(c <= 1 for c in counts.values())
-
-
 def is_sigma_coxeter(w: WeylElement) -> bool:
-    """Whether a reduced word of the window part uses exactly one letter from
-    each twist-orbit meeting its support (twist relative to the Omega-part)."""
+    """Whether every letter of supp(w) occurs once in a reduced word of the
+    window part (ℓ(w) = |supp(w)|) and no two letters of supp(w) are swapped
+    by the twist s_i -> s_{(m-i) mod n}, m the Omega-component."""
     word, m = w.reduced_word()
-    return _one_letter_per_orbit(word, tau_sigma_orbits(w.n, m))
+    n, letters = w.n, set(word)
+    return len(word) == len(letters) and all(
+        (m - i) % n == i or (m - i) % n not in letters for i in letters)
 
 
 def is_sigma_coxeter_finite(u: WeylElement) -> bool:
     """Finite-diagram variant, with the twist s_i -> s_{n-i}."""
     if not u.is_finite():
         raise ValueError("finite twisted-Coxeter test requires a finite element")
-    word, _ = u.reduced_word()
-    return _one_letter_per_orbit(word, sigma_orbits_finite(u.n))
+    return _sigma_coxeter_window(u.window)
+
+
+def _sigma_coxeter_window(u: Sequence[int]) -> bool:
+    """is_sigma_coxeter_finite on a finite window: supp(u) holds no pair
+    {i, n-i} with i != n-i, and ℓ(u) = |supp(u)|."""
+    n = len(u)
+    letters = _supp_finite_window(u)
+    if any(2 * i != n and n - i in letters for i in letters):
+        return False
+    return sum(a > b for i, a in enumerate(u) for b in u[i + 1:]) == len(letters)

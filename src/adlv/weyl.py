@@ -347,28 +347,18 @@ def from_word(n: int, word: Iterable[int], omega: int = 0,
 # Bruhat order
 # ---------------------------------------------------------------------------
 
-_BRUHAT_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-
-
+@lru_cache(maxsize=1 << 18)
 def _bruhat_windows(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
     if u == w:
         return True
-    lu, lw = _length(u), _length(w)
-    if lu >= lw:
+    if _length(u) >= _length(w):
         return False
-    key = (u, w)
-    cached = _BRUHAT_CACHE.get(key)
-    if cached is not None:
-        return cached
     for i in range(len(w)):
         if _left_descent(w, i):
             sw = _left_mul(w, i)
             if _left_descent(u, i):
-                res = _bruhat_windows(_left_mul(u, i), sw)
-            else:
-                res = _bruhat_windows(u, sw)
-            _BRUHAT_CACHE[key] = res
-            return res
+                return _bruhat_windows(_left_mul(u, i), sw)
+            return _bruhat_windows(u, sw)
     raise AssertionError("positive length but no descent")
 
 

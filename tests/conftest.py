@@ -90,3 +90,12 @@ def bruhat_subword_oracle(u: WeylElement, w: WeylElement) -> bool:
 def all_perm_elements(n: int):
     """Every finite element of rank n."""
     return [WeylElement(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def one_letter_per_orbit(w: WeylElement) -> bool:
+    """Twisted Coxeter by definition: a reduced word of the window part uses
+    at most one letter from each orbit of the twist s_i -> s_{(m-i) mod n},
+    m the Omega-component (m = 0, i.e. s_i -> s_{n-i}, for finite elements)."""
+    word, m = w.reduced_word()
+    orbits = [min(a, (m - a) % w.n) for a in word]
+    return len(orbits) == len(set(orbits))

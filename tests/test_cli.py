@@ -147,13 +147,24 @@ def test_verify_reduction_small(capsys):
 
 
 def test_verify_reports_failure(monkeypatch, capsys):
-    # force a failing check through the suite registry to pin the exit code
+    # force a failing check through the suite registry to pin the exit code;
+    # a failure outranks an undecided check
     def fake(n_max, budget):
-        return [("forced", False, "injected counterexample (3,4)")]
+        return [("overrun", None, "undecided (injected)"),
+                ("forced", False, "injected counterexample (3,4)")]
     monkeypatch.setitem(cli.__dict__, "_suite_oracle", fake)
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
     assert code == 1
-    assert "[FAIL] forced" in out
+    assert "[FAIL] forced" in out and "[budget] overrun" in out
+
+
+def test_verify_budget_overrun_is_undecided(monkeypatch, capsys):
+    monkeypatch.setenv("ADLV_BFS_BUDGET", "100")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--n-max", "8")
+    assert code == 3
+    assert "[ok] oracle n=6" in out
+    assert "[budget] oracle n=7: undecided (" in out and "exceeded 100" in out
+    assert "[FAIL]" not in out
 
 
 # ---------------------------------------------------------------------------

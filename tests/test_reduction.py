@@ -1,7 +1,7 @@
 """Arrows, chains, equal-length classes, and the emptiness criterion."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adlv.reduction import (
     ArrowKind,
@@ -20,11 +20,11 @@ from adlv.reduction import (
     positive_coxeter_generic,
     verify_chain,
 )
-from adlv.roots import inv_set, phi_w, supp_sigma_finite
+from adlv.roots import inv_set, lp_set, phi_w, supp_sigma_finite
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
 from adlv.gu import StratumClass, classify, s_admissible, tau_element, w_kl, w_prime
 
-from conftest import weyl_elements
+from conftest import one_letter_per_orbit, weyl_elements
 
 
 def _tau_word(n, word):
@@ -289,3 +289,13 @@ def test_positive_coxeter_examples():
     assert not positive_coxeter_generic(w_kl(9, 3, 8))
     # k = (n+1)/2 at n = 13; the finite part itself is the witness
     assert positive_coxeter_generic(w_kl(13, 7, 12))
+
+
+@given(weyl_elements(max_n=6, max_len=8))
+def test_positive_coxeter_generic_off_minimal_representatives(w):
+    # reference: sigma(v)⁻¹ · p(w) · v with element arithmetic over all of
+    # LP(w), tested against the reduced-word definition
+    assume(not w.is_min_coset_rep())
+    pw = w.finite_part()
+    want = any(one_letter_per_orbit(v.sigma().inv() * pw * v) for v in lp_set(w))
+    assert positive_coxeter_generic(w) == want

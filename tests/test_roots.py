@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv.roots import (
+    _proper_twisted_support,
     act,
     delta_plus,
     inv_set,
@@ -25,7 +26,7 @@ from adlv.roots import (
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
 from adlv.gu import s_admissible, tau_element, w_kl
 
-from conftest import all_perm_elements, weyl_elements
+from conftest import all_perm_elements, one_letter_per_orbit, weyl_elements
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +279,16 @@ def test_sigma_coxeter_finite():
     # the finite part of w_{7,12} at n=13 is a twisted Coxeter element
     assert is_sigma_coxeter_finite(w_kl(13, 7, 12).finite_part())
     assert sigma_orbits_finite(5) == [frozenset({1, 4}), frozenset({2, 3})]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_finite_window_predicates_match_definitions(n):
+    for u in all_perm_elements(n):
+        assert is_sigma_coxeter_finite(u) == one_letter_per_orbit(u), u
+        assert _proper_twisted_support(u.window) == \
+            (len(supp_sigma_finite(u)) < n - 1), u
+
+
+@given(weyl_elements(max_n=8, max_len=8))
+def test_sigma_coxeter_matches_definition(w):
+    assert is_sigma_coxeter(w) == one_letter_per_orbit(w)
