@@ -66,7 +66,7 @@ def classify_json(n: int) -> dict:
                 "k": k, "l": l, "class": cls.value, "length": k + l - 3,
                 "dim": None, "target": None, "rank": None, "base": None,
                 "parahoric": None,
-                "supp_sigma": sorted(roots.supp_sigma(w)),
+                "supp_sigma": sorted(gu.supp_sigma_closed(n, k, l)),
                 "s_w_sigma": sorted(roots.s_w_sigma(w)),
                 "positive_coxeter": False,
             })
@@ -195,10 +195,10 @@ def _suite_closedforms(n_max: int, budget: int) -> list[CheckResult]:
             w = gu.w_kl(n, k, l)
             if w.length() != k + l - 3:
                 return False, f"length of ({k},{l}) is {w.length()}, not {k + l - 3}"
-            if gu.classify(n, k, l) is StratumClass.EMPTY:
-                continue
             if roots.supp_sigma(w) != gu.supp_sigma_closed(n, k, l):
                 return False, f"twisted support mismatch at ({k},{l})"
+            if gu.classify(n, k, l) is StratumClass.EMPTY:
+                continue
             if roots.s_w_sigma(w) != gu.s_closed(n, k, l):
                 return False, f"stable-subset mismatch at ({k},{l})"
         if gu.dim_basic_locus(n) != n - 2 or gu.irr_orbit_count(n) != n // 2:
@@ -298,7 +298,9 @@ def element_report(n: int, word: list[int], omega: int, budget: int) -> dict:
         "phi_w_size": len(roots.phi_w(w)),
     }
     try:
-        report["lp_size"] = len(roots.lp_set(w, budget))
+        # |LP(w)| = |R(w)|, the size of the inversion ideal under Phi_w
+        report["lp_size"] = sum(
+            1 for _ in roots._iter_inv_ideal(w.n, roots.phi_w(w), budget))
     except roots.BudgetExceededError:
         report["lp_size"] = f"not computed (budget {budget} exceeded)"
     if w.is_min_coset_rep() and w.omega() == -2:

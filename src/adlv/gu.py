@@ -112,14 +112,20 @@ def b_element(n: int) -> WeylElement:
 
 
 def w_kl(n: int, k: int, l: int) -> WeylElement:
-    """The stratum representative phi^μ s_{[n-2,k]} s_{[n-1,l]}."""
+    """
+    The stratum representative phi^μ s_{[n-2,k]} s_{[n-1,l]}, built on its
+    window.  phi^μ has window (1, ..., n-2, -1, 0), and right multiplication
+    by s_a swaps the positions a and a+1, so s_{[n-2,k]} moves the entry -1
+    from position n-1 to position k and s_{[n-1,l]} then moves the entry 0
+    from position n to position l.
+
+    >>> w_kl(5, 3, 4).window
+    (1, 2, -1, 0, 3)
+    """
     _check_label(n, k, l)
-    w = translation(mu(n))
-    for a in range(n - 2, k - 1, -1):
-        w = w * simple_ref(n, a)
-    for a in range(n - 1, l - 1, -1):
-        w = w * simple_ref(n, a)
-    return w
+    window = list(range(1, k)) + [-1] + list(range(k, n - 1))
+    window.insert(l - 1, 0)
+    return WeylElement(tuple(window), mu(n).similitude)
 
 
 def tau_element(n: int) -> WeylElement:
@@ -258,8 +264,9 @@ def fibration_base(n: int, k: int, l: int) -> StratumLabel:
 # ---------------------------------------------------------------------------
 
 def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
-    """Closed form of the twisted support of w_{k,l} (nonempty labels)."""
-    _require_nonempty(n, k, l, "the twisted support")
+    """Closed form of the twisted support of w_{k,l}, on every label (empty
+    labels have k >= 3 and take the k >= 2 branch)."""
+    _check_label(n, k, l)
     if k >= 2:
         out = {n - 1}
         for i in range(0, l - 2):
@@ -277,7 +284,8 @@ def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
 
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
-    simple reflections (nonempty labels)."""
+    simple reflections; defined on DL and not-DL labels only (empty labels
+    raise NotApplicableError, ``roots.s_w_sigma`` serves them)."""
     cls = _require_nonempty(n, k, l, "the stable finite subset")
     if cls is StratumClass.DL:
         if l == k + 1:

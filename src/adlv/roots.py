@@ -41,8 +41,6 @@ from .weyl import (
     decompose_xmy,
     _inv,
     _mul,
-    _sigma,
-    simple_ref,
 )
 
 __all__ = [
@@ -232,14 +230,18 @@ def s_w_sigma(w: WeylElement) -> frozenset[int]:
     The largest subset S' of finite simple reflections with Ad(w)sigma(S') = S',
     computed by pruning: repeatedly delete an index whose image under
     s -> w·sigma(s)·w⁻¹ is not a simple reflection still in the set.
+
+    The image is read off the window: w·sigma(s_i)·w⁻¹ = w·s_{n-i}·w⁻¹ is the
+    reflection exchanging the values w(n-i) and w(n-i+1), which is the finite
+    simple reflection s_j iff the two values differ by one and j, the residue
+    in 1..n of the smaller, is not n (the pair {n, n+1} gives s_0).
     """
-    n = w.n
-    win, wi = w.window, _inv(w.window)
-    simples = {simple_ref(n, j).window: j for j in range(1, n)}
+    n, win = w.n, w.window
     image: dict[int, int | None] = {}
     for i in range(1, n):
-        conj = _mul(win, _mul(_sigma(simple_ref(n, i).window), wi))
-        image[i] = simples.get(conj)
+        a, b = win[n - i - 1], win[n - i]
+        j = (min(a, b) - 1) % n + 1
+        image[i] = j if abs(a - b) == 1 and j != n else None
     cur = {i for i in range(1, n) if image[i] is not None}
     changed = True
     while changed:

@@ -6,7 +6,7 @@ import itertools
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from adlv.weyl import WeylElement, from_word
+from adlv.weyl import Cocharacter, WeylElement, from_word, simple_ref, translation
 
 settings.register_profile(
     "suite",
@@ -99,3 +99,31 @@ def one_letter_per_orbit(w: WeylElement) -> bool:
     word, m = w.reduced_word()
     orbits = [min(a, (m - a) % w.n) for a in word]
     return len(orbits) == len(set(orbits))
+
+
+def s_w_sigma_oracle(w: WeylElement) -> frozenset[int]:
+    """The largest subset S' of finite simples with Ad(w)sigma(S') = S', by
+    pruning, with each image w·sigma(s_i)·w⁻¹ formed as a product of
+    elements and looked up among the finite simple reflections."""
+    n = w.n
+    simples = {simple_ref(n, j): j for j in range(1, n)}
+    image = {i: simples.get(w * simple_ref(n, i).sigma() * w.inv())
+             for i in range(1, n)}
+    cur = {i for i in range(1, n) if image[i] is not None}
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(cur):
+            if image[i] not in cur:
+                cur.discard(i)
+                changed = True
+    return frozenset(cur)
+
+
+def w_kl_product(n: int, k: int, l: int) -> WeylElement:
+    """w_{k,l} = phi^μ · (s_{n-2} ... s_k) · (s_{n-1} ... s_l) as a product of
+    simple reflections, μ = ((0^(n-2), -1, -1), -1)."""
+    w = translation(Cocharacter((0,) * (n - 2) + (-1, -1), -1))
+    for a in list(range(n - 2, k - 1, -1)) + list(range(n - 1, l - 1, -1)):
+        w = w * simple_ref(n, a)
+    return w

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from adlv import cli
-from adlv.gu import StratumClass, classify, s_admissible, stratum_record
+from adlv import cli, roots
+from adlv.gu import StratumClass, classify, s_admissible, stratum_record, w_kl
+from adlv.weyl import WeylElement
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,18 @@ def test_classify_dot(capsys):
     assert '"w_3_12" -> "w_1_12";' in out
 
 
+def test_classify_stays_closed_form(monkeypatch):
+    # supports come from closed forms: no reduced word, no generic support
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classify called generic support machinery")
+    monkeypatch.setattr(WeylElement, "reduced_word", forbidden)
+    monkeypatch.setattr(roots, "supp_sigma", forbidden)
+    for n in range(2, 21):
+        assert cli.classify_json(n)["n"] == n
+        assert cli.classify_dot(n).startswith("digraph strata {")
+        assert cli.classify_table(n).startswith("(k,l)")
+
+
 def test_classify_usage_error(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "1")
     assert code == 2
@@ -202,6 +215,26 @@ def test_element_empty_verdict_with_witness(monkeypatch, capsys):
     assert report["lp_size"].startswith("not computed")
     assert report["empty"] == "True"
     assert "witness" in report
+
+
+@pytest.mark.parametrize("n,k,l", [(5, 3, 4), (7, 2, 6), (8, 4, 7), (9, 5, 8)])
+def test_element_lp_size_counts_lp_set(n, k, l):
+    w = w_kl(n, k, l)
+    word, omega = w.reduced_word()
+    report = cli.element_report(n, list(word), omega, roots.DEFAULT_BUDGET)
+    assert report["lp_size"] == len(roots.lp_set(w))
+
+
+def test_element_lp_size_budget_overrun(monkeypatch, capsys):
+    # w_{3,9} at n = 10: |LP(w)| = 184 800, far over a budget of 1000
+    monkeypatch.setenv("ADLV_BFS_BUDGET", "1000")
+    word = ",".join(str(i) for i in list(range(0, 7)) + [9, 0])
+    code, out, _ = run_cli(capsys, "element", "--n", "10", "--word", word,
+                           "--omega", "-2", "--show", "length,lp_size")
+    assert code == 0
+    report = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    assert report["length"] == str(3 + 9 - 3)
+    assert report["lp_size"] == "not computed (budget 1000 exceeded)"
 
 
 def test_element_show_filter(capsys):

@@ -39,6 +39,8 @@ from adlv import roots
 from adlv.reduction import positive_coxeter_generic
 from adlv.weyl import from_word, identity, simple_ref, translation
 
+from conftest import w_kl_product
+
 
 # ---------------------------------------------------------------------------
 # representatives
@@ -61,6 +63,12 @@ def test_w_kl_alternative_word_form():
         for (k, l) in sorted(s_admissible(n)):
             word = list(range(0, l - 2)) + [i % n for i in range(n - 1, n + k - 2)]
             assert w_kl(n, k, l) == from_word(n, word, omega=-2, similitude=-1)
+
+
+def test_w_kl_matches_product_to_20():
+    for n in range(2, 21):
+        for (k, l) in sorted(s_admissible(n)):
+            assert w_kl(n, k, l) == w_kl_product(n, k, l), (n, k, l)
 
 
 def test_length_closed_form_to_20():
@@ -162,10 +170,10 @@ def test_closed_forms_match_generic_to_20():
     from adlv.reduction import level_is_stable
     for n in range(2, 21):
         for (k, l) in sorted(s_admissible(n)):
-            if classify(n, k, l) is StratumClass.EMPTY:
-                continue
             w = w_kl(n, k, l)
             assert roots.supp_sigma(w) == supp_sigma_closed(n, k, l), (n, k, l)
+            if classify(n, k, l) is StratumClass.EMPTY:
+                continue
             assert roots.s_w_sigma(w) == s_closed(n, k, l), (n, k, l)
             # the closed-form stable set is indeed permuted by the twisted
             # conjugation, not merely contained in its image

@@ -26,7 +26,12 @@ from adlv.roots import (
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
 from adlv.gu import s_admissible, tau_element, w_kl
 
-from conftest import all_perm_elements, one_letter_per_orbit, weyl_elements
+from conftest import (
+    all_perm_elements,
+    one_letter_per_orbit,
+    s_w_sigma_oracle,
+    weyl_elements,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,18 @@ def test_s_w_sigma_examples():
     assert s_w_sigma(w_kl(13, 1, 10)) == {5, 6, 7}
     assert s_w_sigma(w_kl(13, 7, 8)) == frozenset()
     assert s_w_sigma(tau_element(5)) == {1, 2, 4}
+
+
+def test_s_w_sigma_matches_oracle_on_labels_to_20():
+    for n in range(2, 21):
+        for (k, l) in sorted(s_admissible(n)):
+            w = w_kl(n, k, l)
+            assert s_w_sigma(w) == s_w_sigma_oracle(w), (n, k, l)
+
+
+@given(weyl_elements(max_n=9, max_len=12, omega_bound=3))
+def test_s_w_sigma_matches_oracle(w):
+    assert s_w_sigma(w) == s_w_sigma_oracle(w)
 
 
 @given(weyl_elements(max_n=8, max_len=8))
