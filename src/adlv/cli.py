@@ -252,11 +252,15 @@ def _run_suites(suite: str, n_max: Optional[int], budget: int) -> list[CheckResu
     names = list(runners) if suite == "all" else [suite]
     results: list[CheckResult] = []
     for name in names:
-        results.extend(runners[name](n_max or defaults[name], budget))
+        results.extend(runners[name](defaults[name] if n_max is None else n_max,
+                                     budget))
     return results
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max is not None and args.n_max < 2:
+        print(f"--n-max must be at least 2, got {args.n_max}", file=sys.stderr)
+        return USAGE_ERROR
     results = _run_suites(args.suite, args.n_max, _budget())
     status = {True: "ok", False: "FAIL", None: "budget"}
     for name, ok, detail in results:

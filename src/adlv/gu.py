@@ -346,11 +346,12 @@ def w0_element(n: int, k: int, l: int) -> WeylElement:
 
 def dim_stratum(n: int, k: int, l: int) -> int:
     """Stratum dimension: the length for DL labels, target dimension plus one
-    along each fibration step."""
+    along each fibration step, i.e. the dimension l - 2 of the DL base (1, l)
+    plus the fibration rank."""
     cls = _require_nonempty(n, k, l, "the dimension")
     if cls is StratumClass.DL:
         return k + l - 3
-    return dim_stratum(n, *w_prime(n, k, l)) + 1
+    return fibration_base(n, k, l).l - 2 + fibration_rank(n, k, l)
 
 
 def _nonempty_labels(n: int) -> list[StratumLabel]:

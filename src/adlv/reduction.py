@@ -54,9 +54,9 @@ from .roots import (
     _iter_inv_ideal,
     _proper_twisted_support,
     _sigma_coxeter_window,
+    _twisted_images,
     phi_w,
     supp_sigma,
-    supp_sigma_finite,
 )
 
 __all__ = [
@@ -112,27 +112,26 @@ def conj_by_simple(w: WeylElement, i: int) -> WeylElement:
     return s * w * s.sigma()
 
 
+def _check_indices(n: int, indices: frozenset[int]) -> None:
+    bad = sorted(i for i in indices if not 0 <= i < n)
+    if bad:
+        raise ValueError(f"simple reflection indices {bad} out of range for rank {n}")
+
+
 def commutes_with_level(n: int, i: int, level: frozenset[int]) -> bool:
     """Whether s_i lies outside ``level`` and commutes with all of it
     (non-adjacent on the cyclic diagram)."""
-    if i in level:
-        return False
-    s = simple_ref(n, i)
-    return all(s * simple_ref(n, j) == simple_ref(n, j) * s for j in level)
+    _check_indices(n, level | {i})
+    return i not in level and all((i - j) % n not in (1, n - 1) for j in level)
 
 
 def level_is_stable(w: WeylElement, level: frozenset[int]) -> bool:
-    """Whether conjugation-composed-with-twist permutes ``level`` setwise."""
-    n = w.n
-    simples = {simple_ref(n, j).window: j for j in range(n)}
-    image = set()
-    for j in level:
-        conj = w * simple_ref(n, j).sigma() * w.inv()
-        got = simples.get(conj.window)
-        if got is None or conj.similitude != 0:
-            return False
-        image.add(got)
-    return image == set(level)
+    """Whether conjugation-composed-with-twist permutes ``level`` setwise.
+    The twisted image is injective, so mapping ``level`` into itself is
+    enough."""
+    _check_indices(w.n, level)
+    image = _twisted_images(w.window)
+    return all(image[j] in level for j in level)
 
 
 def arrow(w: WeylElement, i: int,
@@ -411,7 +410,7 @@ def is_empty_basic_v_form(w: WeylElement,
     for _, pos in _iter_inv_ideal(n, phi_w(w), budget):
         v = yi * WeylElement(pos)
         u = v.sigma().inv() * pw * v
-        if len(supp_sigma_finite(u)) < n - 1:
+        if len(supp_sigma(u)) < n - 1:
             return EmptinessVerdict(True, v)
     return EmptinessVerdict(False)
 
@@ -422,4 +421,5 @@ def positive_coxeter_generic(w: WeylElement,
     Whether some length-positive v makes sigma(v)⁻¹ · p(w) · v a twisted
     Coxeter element of the finite group.
     """
-    return _find_twisted_conjugate(w, budget, _sigma_coxeter_window) is not None
+    return _find_twisted_conjugate(
+        w, budget, lambda u: _sigma_coxeter_window(u, 0)) is not None

@@ -16,50 +16,54 @@ index i with ℓ(s_i r) > ℓ(r), Inv(s_i r) = Inv(r) ∪ {r⁻¹ α_i}, so the 
 tree stays inside the order ideal of Phi_w and never touches the rest of the
 symmetric group.
 
-Supports: supp(w) is the set of letters of a reduced word of the window part
-with the Omega-part split off; supp_sigma closes it under the twist
-s_i -> s_{(m - i) mod n} (conjugation by the Omega-part composed with the
-Frobenius twist, m the Omega-component).  For finite elements the relevant
-twist is s_i -> s_{n-i} inside the finite diagram.  Both twists are
-involutions, so adding the image of the support closes it.
+Supports: supp(w) is the smallest set of simple affine reflections whose
+parabolic subgroup holds the affine part w·tau1^{-m} (m the Omega-component),
+the letters of any of its reduced words.  It is read off the window: s_i is
+missing iff the affine part maps {i+1, ..., i+n} onto itself.  supp_sigma
+closes it under the twist s_i -> s_{(m - i) mod n} (conjugation by the
+Omega-part composed with the Frobenius twist); for finite elements m = 0 and
+the twist is s_i -> s_{n-i}.  The twist is an involution, so adding the image
+of the support closes it.
 
 An element is twisted Coxeter iff ℓ(w) = |supp(w)| (every support letter
 occurs once in a reduced word) and no two support letters are swapped by the
-twist.  On finite windows this and "proper twisted support" (u stabilizes
-{1..i} and {1..n-i} for some i) are tested without building elements or
-reduced words; the reduction module runs them at every node of its ideal
-search.
+twist.  The twisted image w·sigma(s_j)·w⁻¹ of a simple reflection swaps two
+window values, so whether it is simple, and which, is read off them; the
+stable set S(w, sigma) and the level checks of the reduction module rest on
+that map.  None of these builds a reduced word or multiplies elements, and
+the reduction module runs the finite-window predicates (twisted Coxeter,
+proper twisted support: u stabilizes {1..i} and {1..n-i} for some i) at every
+node of its ideal search.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 from .weyl import (
     WeylElement,
     decompose_xmy,
+    _eval,
     _inv,
+    _length,
     _mul,
 )
 
 __all__ = [
     "Root",
     "pos_roots",
-    "act",
-    "delta_plus",
     "inv_set",
     "phi_w",
     "r_set",
     "lp_set",
     "supp",
     "supp_sigma",
-    "supp_sigma_finite",
     "s_w_sigma",
     "is_sigma_coxeter",
     "is_sigma_coxeter_finite",
     "tau_sigma_orbits",
-    "sigma_orbits_finite",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
 ]
@@ -75,18 +79,6 @@ class BudgetExceededError(RuntimeError):
 
 def pos_roots(n: int) -> list[Root]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def delta_plus(root: Root) -> int:
-    """Indicator of positivity."""
-    return 1 if root[0] < root[1] else 0
-
-
-def act(u: WeylElement, root: Root) -> Root:
-    """Action of a finite element on a root: u · (i, j) = (u(i), u(j))."""
-    if not u.is_finite():
-        raise ValueError("root action requires an element with zero translation part")
-    return (u.window[root[0] - 1], u.window[root[1] - 1])
 
 
 def inv_set(u: WeylElement) -> frozenset[Root]:
@@ -174,39 +166,40 @@ def lp_set(w: WeylElement, budget: int = DEFAULT_BUDGET) -> frozenset[WeylElemen
 # supports
 # ---------------------------------------------------------------------------
 
+def _affine_window(w: WeylElement) -> tuple[tuple[int, ...], int]:
+    """The window of the affine part w·tau1^{-m} and the Omega-component m."""
+    m = w.omega()
+    if m == 0:
+        return w.window, 0
+    return tuple(_eval(w.window, p - m) for p in range(1, w.n + 1)), m
+
+
+def _supp_window(u: Sequence[int]) -> frozenset[int]:
+    """
+    supp(u) for the window u of an Omega-0 element.  s_i (0 <= i < n) is
+    missing from supp(u) iff u lies in the parabolic subgroup without s_i,
+    i.e. u maps {i+1, ..., i+n} onto itself.  The n values u(i+1..i+n) have
+    distinct residues and sum to the sum of that interval, so this holds iff
+    their maximum is at most i+n: max u(1..i) <= i and max u(i+1..n) <= i+n.
+    """
+    n = len(u)
+    head = [0, *accumulate(u, max)]               # head[i] = max u[:i], i >= 1
+    tail = [*accumulate(reversed(u), max)][::-1]  # tail[i] = max u[i:]
+    return frozenset([i for i in range(n) if head[i] > i or tail[i] > i + n])
+
+
 def supp(w: WeylElement) -> frozenset[int]:
-    """Letters occurring in a (any) reduced word of the window part."""
-    word, _ = w.reduced_word()
-    return frozenset(word)
+    """Letters occurring in a (any) reduced word of the affine part
+    w·tau1^{-m}, m the Omega-component of w."""
+    return _supp_window(_affine_window(w)[0])
 
 
 def supp_sigma(w: WeylElement) -> frozenset[int]:
     """Smallest subset of the affine diagram containing supp(w) and stable
     under the twist s_i -> s_{(m-i) mod n}, m the Omega-component of w."""
-    n, m = w.n, w.omega()
-    base = supp(w)
-    return base | {(m - i) % n for i in base}
-
-
-def _supp_finite_window(win: Sequence[int]) -> frozenset[int]:
-    # s_i occurs in a reduced word of u iff u does not stabilize {1..i}
-    out = set()
-    top = 0
-    for i in range(1, len(win)):
-        top = max(top, win[i - 1])
-        if top > i:
-            out.add(i)
-    return frozenset(out)
-
-
-def supp_sigma_finite(u: WeylElement) -> frozenset[int]:
-    """Smallest subset of the finite diagram containing supp(u) and stable
-    under s_i -> s_{n-i}."""
-    if not u.is_finite():
-        raise ValueError("finite support requires a finite element")
-    n = u.n
-    base = _supp_finite_window(u.window)
-    return base | {n - i for i in base}
+    u, m = _affine_window(w)
+    base = _supp_window(u)
+    return base | {(m - i) % w.n for i in base}
 
 
 def _proper_twisted_support(u: Sequence[int]) -> bool:
@@ -225,31 +218,41 @@ def _proper_twisted_support(u: Sequence[int]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# the twisted-image map and stable subsets
+# ---------------------------------------------------------------------------
+
+def _twisted_images(win: Sequence[int]) -> list[Optional[int]]:
+    """
+    For the window of w, the list whose j-th entry is the index a with
+    w·sigma(s_j)·w⁻¹ = s_a, or None when that reflection is not simple.
+    sigma(s_j) = s_{n-j} swaps the positions p = n-j and p+1 (p = n for
+    j = 0), so its conjugate swaps the values w(p) and w(p+1); the reflection
+    swapping the values a and a+1 is s_{a mod n}.
+    """
+    n = len(win)
+    vals = (*win, win[0] + n)  # w(1), ..., w(n+1)
+    return [min(a, b) % n if abs(a - b) == 1 else None
+            for a, b in zip(vals, vals[1:])][::-1]
+
+
 def s_w_sigma(w: WeylElement) -> frozenset[int]:
     """
-    The largest subset S' of finite simple reflections with Ad(w)sigma(S') = S',
-    computed by pruning: repeatedly delete an index whose image under
-    s -> w·sigma(s)·w⁻¹ is not a simple reflection still in the set.
+    The largest subset S' of finite simple reflections with Ad(w)sigma(S') = S'.
 
-    The image is read off the window: w·sigma(s_i)·w⁻¹ = w·s_{n-i}·w⁻¹ is the
-    reflection exchanging the values w(n-i) and w(n-i+1), which is the finite
-    simple reflection s_j iff the two values differ by one and j, the residue
-    in 1..n of the smaller, is not n (the pair {n, n+1} gives s_0).
+    The twisted-image map is injective, so S' is the union of its cycles
+    inside the finite simples: every other index lies on a chain that ends at
+    an index mapped outside them (to None or to s_0).  Walking those chains
+    back once, along unique preimages, prunes them all.
     """
-    n, win = w.n, w.window
-    image: dict[int, int | None] = {}
-    for i in range(1, n):
-        a, b = win[n - i - 1], win[n - i]
-        j = (min(a, b) - 1) % n + 1
-        image[i] = j if abs(a - b) == 1 and j != n else None
-    cur = {i for i in range(1, n) if image[i] is not None}
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(cur):
-            if image[i] not in cur:
-                cur.discard(i)
-                changed = True
+    n = w.n
+    image = _twisted_images(w.window)
+    preimage = {a: i for i, a in enumerate(image) if i and a}
+    cur = set(range(1, n))
+    for j in [i for i in cur if not image[i]]:
+        while j is not None:
+            cur.discard(j)
+            j = preimage.get(j)
     return frozenset(cur)
 
 
@@ -263,34 +266,26 @@ def tau_sigma_orbits(n: int, m: int) -> list[frozenset[int]]:
     return sorted(orbits, key=min)
 
 
-def sigma_orbits_finite(n: int) -> list[frozenset[int]]:
-    """Orbits on the finite diagram of s_i -> s_{n-i}."""
-    orbits = {frozenset({i, n - i}) for i in range(1, n)}
-    return sorted(orbits, key=min)
+def _sigma_coxeter_window(u: Sequence[int], m: int) -> bool:
+    """Twisted Coxeter test on the window u of an Omega-0 element, with the
+    twist s_i -> s_{(m-i) mod n}: no two letters of supp(u) are swapped by
+    the twist, and ℓ(u) = |supp(u)|."""
+    n = len(u)
+    letters = _supp_window(u)
+    if any((m - i) % n != i and (m - i) % n in letters for i in letters):
+        return False
+    return _length(tuple(u)) == len(letters)
 
 
 def is_sigma_coxeter(w: WeylElement) -> bool:
     """Whether every letter of supp(w) occurs once in a reduced word of the
-    window part (ℓ(w) = |supp(w)|) and no two letters of supp(w) are swapped
+    affine part (ℓ(w) = |supp(w)|) and no two letters of supp(w) are swapped
     by the twist s_i -> s_{(m-i) mod n}, m the Omega-component."""
-    word, m = w.reduced_word()
-    n, letters = w.n, set(word)
-    return len(word) == len(letters) and all(
-        (m - i) % n == i or (m - i) % n not in letters for i in letters)
+    return _sigma_coxeter_window(*_affine_window(w))
 
 
 def is_sigma_coxeter_finite(u: WeylElement) -> bool:
     """Finite-diagram variant, with the twist s_i -> s_{n-i}."""
     if not u.is_finite():
         raise ValueError("finite twisted-Coxeter test requires a finite element")
-    return _sigma_coxeter_window(u.window)
-
-
-def _sigma_coxeter_window(u: Sequence[int]) -> bool:
-    """is_sigma_coxeter_finite on a finite window: supp(u) holds no pair
-    {i, n-i} with i != n-i, and ℓ(u) = |supp(u)|."""
-    n = len(u)
-    letters = _supp_finite_window(u)
-    if any(2 * i != n and n - i in letters for i in letters):
-        return False
-    return sum(a > b for i, a in enumerate(u) for b in u[i + 1:]) == len(letters)
+    return _sigma_coxeter_window(u.window, 0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 __all__ = [
     "WeylElement",
@@ -46,7 +46,6 @@ __all__ = [
     "from_word",
     "bruhat_leq",
     "decompose_xmy",
-    "pairing_2rho",
 ]
 
 _WINDOW_BOUND = 1 << 31  # defensive overflow guard for window entries
@@ -138,11 +137,6 @@ def _inv_at(window: tuple[int, ...], x: int) -> int:
 def _left_descent(window: tuple[int, ...], i: int) -> bool:
     """Whether ℓ(s_i w) < ℓ(w)."""
     return _inv_at(window, i) > _inv_at(window, i + 1)
-
-
-def _right_descent(window: tuple[int, ...], i: int) -> bool:
-    """Whether ℓ(w s_i) < ℓ(w)."""
-    return _eval(window, i) > _eval(window, i + 1)
 
 
 def _is_finite(window: tuple[int, ...]) -> bool:
@@ -378,12 +372,6 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 # the x · phi^λ · y normal form
 # ---------------------------------------------------------------------------
 
-def pairing_2rho(coords: Sequence[int]) -> int:
-    """<λ, 2ρ> = sum over positive roots (i<j) of λ_i - λ_j."""
-    n = len(coords)
-    return sum(coords[i - 1] * (n + 1 - 2 * i) for i in range(1, n + 1))
-
-
 def decompose_xmy(w: WeylElement) -> tuple[WeylElement, Cocharacter, WeylElement]:
     """
     The unique normal form w = x · phi^λ · y with λ dominant, x, y finite, and
@@ -413,22 +401,3 @@ def decompose_xmy(w: WeylElement) -> tuple[WeylElement, Cocharacter, WeylElement
     if not lamco.is_dominant():
         raise AssertionError("minimal coset representative has non-dominant part")
     return WeylElement(x_win), lamco, WeylElement(y_win)
-
-
-def _iter_ball(n: int, max_len: int, omega: int = 0) -> Iterator[WeylElement]:
-    """All elements of length <= max_len in the coset W_a · tau1^omega."""
-    start = omega_shift(n, omega).window
-    seen = {start}
-    frontier = [start]
-    yield WeylElement(start)
-    for _ in range(max_len):
-        nxt = []
-        for win in frontier:
-            for i in range(n):
-                if not _left_descent(win, i):
-                    new = _left_mul(win, i)
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
-                        yield WeylElement(new)
-        frontier = nxt

@@ -6,7 +6,15 @@ import itertools
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from adlv.weyl import Cocharacter, WeylElement, from_word, simple_ref, translation
+from adlv.gu import StratumClass, classify, w_prime
+from adlv.weyl import (
+    Cocharacter,
+    WeylElement,
+    from_word,
+    omega_shift,
+    simple_ref,
+    translation,
+)
 
 settings.register_profile(
     "suite",
@@ -127,3 +135,83 @@ def w_kl_product(n: int, k: int, l: int) -> WeylElement:
     for a in list(range(n - 2, k - 1, -1)) + list(range(n - 1, l - 1, -1)):
         w = w * simple_ref(n, a)
     return w
+
+
+def supp_word(w: WeylElement) -> frozenset[int]:
+    """Support by definition: the letters of a reduced word of the affine
+    part w·tau1^{-m}, m the Omega-component."""
+    word, _ = w.reduced_word()
+    return frozenset(word)
+
+
+def commutes_with_level_oracle(n: int, i: int, level: frozenset[int]) -> bool:
+    """s_i outside ``level`` and commuting with every element of it, tested
+    by multiplying simple reflections."""
+    if i in level:
+        return False
+    s = simple_ref(n, i)
+    return all(s * simple_ref(n, j) == simple_ref(n, j) * s for j in level)
+
+
+def level_is_stable_oracle(w: WeylElement, level: frozenset[int]) -> bool:
+    """Ad(w)sigma permutes ``level``: each w·sigma(s_j)·w⁻¹ formed as a
+    product and looked up among the simple reflections."""
+    n = w.n
+    simples = {simple_ref(n, j).window: j for j in range(n)}
+    image = set()
+    for j in level:
+        conj = w * simple_ref(n, j).sigma() * w.inv()
+        got = simples.get(conj.window)
+        if got is None or conj.similitude != 0:
+            return False
+        image.add(got)
+    return image == set(level)
+
+
+def dim_stratum_recursive(n: int, k: int, l: int) -> int:
+    """Stratum dimension by its definition: the length k + l - 3 on DL
+    labels, the target's dimension plus one along each fibration step."""
+    if classify(n, k, l) is StratumClass.DL:
+        return k + l - 3
+    return dim_stratum_recursive(n, *w_prime(n, k, l)) + 1
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def delta_plus(root: tuple[int, int]) -> int:
+    """Indicator of positivity of the root (i, j)."""
+    return 1 if root[0] < root[1] else 0
+
+
+def act(u: WeylElement, root: tuple[int, int]) -> tuple[int, int]:
+    """Action of a finite element on a root: u · (i, j) = (u(i), u(j))."""
+    if not u.is_finite():
+        raise ValueError("root action requires an element with zero translation part")
+    return (u.window[root[0] - 1], u.window[root[1] - 1])
+
+
+def pairing_2rho(coords) -> int:
+    """<λ, 2ρ> = sum over positive roots (i<j) of λ_i - λ_j."""
+    n = len(coords)
+    return sum(coords[i - 1] * (n + 1 - 2 * i) for i in range(1, n + 1))
+
+
+def iter_ball(n: int, max_len: int, omega: int):
+    """All elements of length <= max_len in the coset W_a · tau1^omega, grown
+    by left multiplication with simple reflections that raise the length."""
+    start = omega_shift(n, omega)
+    seen = {start}
+    frontier = [start]
+    yield start
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for i in sorted(set(range(n)) - w.left_descents()):
+                new = simple_ref(n, i) * w
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+                    yield new
+        frontier = nxt

@@ -159,6 +159,15 @@ def test_verify_reduction_small(capsys):
     assert "chain convention" in out
 
 
+@pytest.mark.parametrize("n_max", ["0", "1", "-3"])
+def test_verify_rejects_n_max_below_two(capsys, n_max):
+    code, out, err = run_cli(capsys, "verify", "--suite", "closedforms",
+                             "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "--n-max must be at least 2" in err
+
+
 def test_verify_reports_failure(monkeypatch, capsys):
     # force a failing check through the suite registry to pin the exit code;
     # a failure outranks an undecided check

@@ -39,7 +39,7 @@ from adlv import roots
 from adlv.reduction import positive_coxeter_generic
 from adlv.weyl import from_word, identity, simple_ref, translation
 
-from conftest import w_kl_product
+from conftest import dim_stratum_recursive, w_kl_product
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +244,13 @@ def test_top_strata_lists():
     assert top_strata(4) == {(1, 4), (2, 3)}
 
 
+def test_dim_stratum_matches_recursive_definition_to_30():
+    for n in range(2, 31):
+        for (k, l) in sorted(s_admissible(n)):
+            if classify(n, k, l) is not StratumClass.EMPTY:
+                assert dim_stratum(n, k, l) == dim_stratum_recursive(n, k, l), (n, k, l)
+
+
 def test_dim_examples():
     assert dim_basic_locus(13) == 11
     assert irr_orbit_count(13) == 6
@@ -329,6 +336,15 @@ def test_stratum_graph_small():
     assert {rec.label for rec in g5.records} == {
         (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)}
     assert g5.edges == (((3, 4), (1, 4)),)
+
+
+def test_stratum_graph_record_lookup():
+    g = stratum_graph(13)
+    rec = g.record(7, 12)
+    assert rec.label == (7, 12) and rec.dim == 11
+    assert rec.target == (7, 10) and rec.rank == 5 and rec.base == (1, 8)
+    with pytest.raises(KeyError):
+        g.record(4, 10)
 
 
 def test_golden_figures():

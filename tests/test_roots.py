@@ -5,10 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adlv.reduction import commutes_with_level, level_is_stable
 from adlv.roots import (
     _proper_twisted_support,
-    act,
-    delta_plus,
     inv_set,
     is_sigma_coxeter,
     is_sigma_coxeter_finite,
@@ -17,19 +16,22 @@ from adlv.roots import (
     pos_roots,
     r_set,
     s_w_sigma,
-    sigma_orbits_finite,
     supp,
     supp_sigma,
-    supp_sigma_finite,
     tau_sigma_orbits,
 )
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
-from adlv.gu import s_admissible, tau_element, w_kl
+from adlv.gu import StratumClass, classify, s_admissible, s_closed, tau_element, w_kl
 
 from conftest import (
+    act,
     all_perm_elements,
+    commutes_with_level_oracle,
+    delta_plus,
+    level_is_stable_oracle,
     one_letter_per_orbit,
     s_w_sigma_oracle,
+    supp_word,
     weyl_elements,
 )
 
@@ -146,9 +148,21 @@ def test_supp_basics():
     assert supp(identity(5)) == frozenset()
     assert supp(tau_element(5)) == frozenset()
     assert supp(w_kl(5, 1, 5)) == {0, 1, 2}
-    assert supp_sigma_finite(identity(5)) == frozenset()
-    assert supp_sigma_finite(simple_ref(5, 1)) == {1, 4}
-    assert supp_sigma_finite(simple_ref(5, 2) * simple_ref(5, 3)) == {2, 3}
+    assert supp_sigma(identity(5)) == frozenset()
+    assert supp_sigma(simple_ref(5, 1)) == {1, 4}
+    assert supp_sigma(simple_ref(5, 2) * simple_ref(5, 3)) == {2, 3}
+
+
+@given(weyl_elements(max_n=9, max_len=12, omega_bound=3))
+def test_supp_matches_reduced_word(w):
+    assert supp(w) == supp_word(w)
+
+
+def test_supp_matches_reduced_word_on_labels_to_20():
+    for n in range(2, 21):
+        for (k, l) in sorted(s_admissible(n)):
+            w = w_kl(n, k, l)
+            assert supp(w) == supp_word(w), (n, k, l)
 
 
 def test_supp_sigma_examples():
@@ -295,17 +309,59 @@ def test_sigma_coxeter_finite():
     assert not is_sigma_coxeter_finite(simple_ref(5, 1) * simple_ref(5, 4))
     # the finite part of w_{7,12} at n=13 is a twisted Coxeter element
     assert is_sigma_coxeter_finite(w_kl(13, 7, 12).finite_part())
-    assert sigma_orbits_finite(5) == [frozenset({1, 4}), frozenset({2, 3})]
+    finite_orbits = [o for o in tau_sigma_orbits(5, 0) if 0 not in o]
+    assert finite_orbits == [frozenset({1, 4}), frozenset({2, 3})]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_finite_window_predicates_match_definitions(n):
     for u in all_perm_elements(n):
         assert is_sigma_coxeter_finite(u) == one_letter_per_orbit(u), u
+        base = supp_word(u)
         assert _proper_twisted_support(u.window) == \
-            (len(supp_sigma_finite(u)) < n - 1), u
+            (len(base | {n - i for i in base}) < n - 1), u
 
 
 @given(weyl_elements(max_n=8, max_len=8))
 def test_sigma_coxeter_matches_definition(w):
     assert is_sigma_coxeter(w) == one_letter_per_orbit(w)
+
+
+def test_window_predicates_use_no_words_or_products(monkeypatch):
+    # every answer is computed first with the oracles, which multiply
+    # elements and build reduced words; then both are made to raise
+    cases = []
+    for n in range(2, 13):
+        for (k, l) in sorted(s_admissible(n)):
+            w = w_kl(n, k, l)
+            level = (s_w_sigma_oracle(w) if classify(n, k, l) is StratumClass.EMPTY
+                     else s_closed(n, k, l))
+            base = supp_word(w)
+            u = w.finite_part()
+            cases.append((w, u, level, {
+                "supp": base,
+                "supp_sigma": base | {(w.omega() - i) % n for i in base},
+                "is_sigma_coxeter": one_letter_per_orbit(w),
+                "is_sigma_coxeter_finite": one_letter_per_orbit(u),
+                "s_w_sigma": s_w_sigma_oracle(w),
+                "level_is_stable": level_is_stable_oracle(w, level),
+                "commutes_with_level": [commutes_with_level_oracle(n, i, level)
+                                        for i in range(n)],
+            }))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("window predicates must not build words or products")
+    monkeypatch.setattr(WeylElement, "reduced_word", forbidden)
+    monkeypatch.setattr(WeylElement, "__mul__", forbidden)
+    for w, u, level, want in cases:
+        got = {
+            "supp": supp(w),
+            "supp_sigma": supp_sigma(w),
+            "is_sigma_coxeter": is_sigma_coxeter(w),
+            "is_sigma_coxeter_finite": is_sigma_coxeter_finite(u),
+            "s_w_sigma": s_w_sigma(w),
+            "level_is_stable": level_is_stable(w, level),
+            "commutes_with_level": [commutes_with_level(w.n, i, level)
+                                    for i in range(w.n)],
+        }
+        assert got == want, w

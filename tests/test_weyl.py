@@ -11,7 +11,6 @@ from adlv.weyl import (
     from_word,
     identity,
     omega_shift,
-    pairing_2rho,
     simple_ref,
     tau1,
     translation,
@@ -20,7 +19,9 @@ from adlv.gu import b_element, mu, tau_element, w_kl
 
 from conftest import (
     bruhat_subword_oracle,
+    iter_ball,
     length_formula,
+    pairing_2rho,
     weyl_element_triples,
     weyl_elements,
 )
@@ -224,8 +225,7 @@ def test_bruhat_within_base_coset():
 
 
 def _ball(n, radius):
-    from adlv.weyl import _iter_ball
-    return [w for w in _iter_ball(n, radius)]
+    return list(iter_ball(n, radius, 0))
 
 
 @pytest.mark.parametrize("n", [2, 3])
