@@ -87,10 +87,7 @@ def classify_json(n: int) -> dict:
 
 
 def _fmt_set(s: Optional[Iterable[int]]) -> str:
-    if s is None:
-        return "-"
-    items = sorted(s)
-    return "{" + ",".join(str(i) for i in items) + "}"
+    return "-" if s is None else "{" + ",".join(map(str, sorted(s))) + "}"
 
 
 def _fmt_label(lab: Optional[dict]) -> str:

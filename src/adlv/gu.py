@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -431,12 +431,15 @@ class StratumGraph:
     n: int
     records: tuple[StratumRecord, ...]
     edges: tuple[tuple[StratumLabel, StratumLabel], ...]
+    _index: dict[StratumLabel, StratumRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {rec.label: rec for rec in self.records})
 
     def record(self, k: int, l: int) -> StratumRecord:
-        for rec in self.records:
-            if rec.label == (k, l):
-                return rec
-        raise KeyError(f"({k},{l}) is not a nonempty stratum here")
+        if (k, l) not in self._index:
+            raise KeyError(f"({k},{l}) is not a nonempty stratum here")
+        return self._index[k, l]
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:

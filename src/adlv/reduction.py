@@ -28,7 +28,8 @@ stops at the first r whose window passes a window-level predicate (proper
 twisted support, or twisted Coxeter).  An equivalent formulation quantified
 over length-positive elements v (testing sigma(v)⁻¹·p(w)·v with element
 arithmetic) is kept alongside as the reference; it walks the same ideal
-lazily, stops at its first witness, and is compared in the test suite.
+lazily and is compared in the test suite.  Both forms return the first
+witness found in the walk's breadth-first-by-length order.
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def is_empty_basic_v_form(w: WeylElement,
     The same criterion with condition (ii) quantified over length-positive
     elements v = y⁻¹·r⁻¹, testing sigma(v)⁻¹ · p(w) · v with element-level
     arithmetic.  Kept as the independent reference for the primary r-form;
-    the witness, when present, is the first v of the ideal walk.
+    the witness, when present, is the first v in breadth-first-by-length order.
     """
     if not w.is_min_coset_rep():
         raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")

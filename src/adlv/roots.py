@@ -14,7 +14,8 @@ where Inv(r) = {α > 0 : rα < 0}.  R(w) is enumerated by a breadth-first
 search that grows the inversion set one positive root at a time: for a simple
 index i with ℓ(s_i r) > ℓ(r), Inv(s_i r) = Inv(r) ∪ {r⁻¹ α_i}, so the search
 tree stays inside the order ideal of Phi_w and never touches the rest of the
-symmetric group.
+symmetric group.  It generates each r ≠ e once, from its canonical parent s_d·r
+(d the smallest left descent of r), so it keeps no visited set.
 
 Supports: supp(w) is the smallest set of simple affine reflections whose
 parabolic subgroup holds the affine part w·tau1^{-m} (m the Omega-component),
@@ -109,57 +110,57 @@ def phi_w(w: WeylElement) -> frozenset[Root]:
 def _iter_inv_ideal(n: int, allowed: frozenset[Root],
                     budget: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """
-    Yield (r, r⁻¹) windows for every finite r with Inv(r) ⊆ allowed, in
-    breadth-first (length) order starting from the identity.
+    Yield (r, r⁻¹) windows for every finite r with Inv(r) ⊆ allowed, each
+    once, in breadth-first (length) order from the identity.  A node pushes
+    only the children it is the canonical parent of: the ascent s_i·r has
+    smallest left descent i iff i <= d(r)+1 and r⁻¹(i-1) < r⁻¹(i+1).
+    Overrunning ``budget`` nodes raises, naming the length reached.
     """
     # flat lookup: ok[p * (n + 1) + q] iff the root (p, q) may become an inversion
     ok = bytearray((n + 1) * (n + 1))
     for p, q in allowed:
         ok[p * (n + 1) + q] = 1
     ident = tuple(range(1, n + 1))
-    seen = {ident}
-    queue = deque([(ident, ident)])
+    # entries (r, r⁻¹, d(r)); the identity has no descent, d = n
+    queue = deque([(ident, ident, n)])
     pop = queue.popleft
     push = queue.append
-    add = seen.add
     visited = 0
     while queue:
-        win, pos = pop()
+        win, pos, d = pop()
         visited += 1
         if visited > budget:
-            raise BudgetExceededError(f"inversion-ideal search exceeded {budget} nodes")
+            raise BudgetExceededError(f"inversion-ideal search exceeded {budget} "
+                                      f"nodes at length {_length(win)}")
         yield win, pos
-        for i in range(1, n):
+        prev = 0  # r⁻¹(i-1), and 0 below i = 1
+        for i in range(1, min(d + 2, n)):
             p = pos[i - 1]
             q = pos[i]
-            # s_i · r adds the inversion (r⁻¹(i), r⁻¹(i+1)); grow only if positive
-            if p < q and ok[p * (n + 1) + q]:
+            # s_i · r adds the inversion (r⁻¹(i), r⁻¹(i+1)); grow only if it is
+            # positive and allowed, and i is the child's smallest left descent
+            if p < q and prev < q and ok[p * (n + 1) + q]:
                 new = list(win)
                 new[p - 1] = i + 1
                 new[q - 1] = i
-                neww = tuple(new)
-                if neww not in seen:
-                    add(neww)
-                    npos = list(pos)
-                    npos[i - 1] = q
-                    npos[i] = p
-                    push((neww, tuple(npos)))
+                npos = list(pos)
+                npos[i - 1] = q
+                npos[i] = p
+                push((tuple(new), tuple(npos), i))
+            prev = p
 
 
 def r_set(w: WeylElement, budget: int = DEFAULT_BUDGET) -> frozenset[WeylElement]:
     """R(w): inverses of the elements whose inversion set lies inside Phi_w."""
-    allowed = phi_w(w)
     return frozenset(WeylElement(pos)
-                     for _, pos in _iter_inv_ideal(w.n, allowed, budget))
+                     for _, pos in _iter_inv_ideal(w.n, phi_w(w), budget))
 
 
 def lp_set(w: WeylElement, budget: int = DEFAULT_BUDGET) -> frozenset[WeylElement]:
     """The length-positive set LP(w) = y⁻¹ · R(w); always contains y⁻¹."""
-    _, _, y = decompose_xmy(w)
-    yi = _inv(y.window)
-    allowed = phi_w(w)
+    yi = _inv(decompose_xmy(w)[2].window)
     return frozenset(WeylElement(_mul(yi, pos))
-                     for _, pos in _iter_inv_ideal(w.n, allowed, budget))
+                     for _, pos in _iter_inv_ideal(w.n, phi_w(w), budget))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def supp_sigma(w: WeylElement) -> frozenset[int]:
 
 
 def _proper_twisted_support(u: Sequence[int]) -> bool:
-    """Whether supp_sigma_finite is proper for the finite window u: u
+    """Whether supp_sigma of the finite element u is proper: u
     stabilizes both {1..i} and {1..n-i} for some 1 <= i <= n/2, i.e. the
     first i entries have maximum i and the last i entries minimum n+1-i."""
     n = len(u)

@@ -139,11 +139,6 @@ def _left_descent(window: tuple[int, ...], i: int) -> bool:
     return _inv_at(window, i) > _inv_at(window, i + 1)
 
 
-def _is_finite(window: tuple[int, ...]) -> bool:
-    n = len(window)
-    return all(1 <= v <= n for v in window)
-
-
 def _finite_part(window: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce each window entry mod n into [1, n]."""
     n = len(window)
@@ -218,8 +213,9 @@ class WeylElement:
         return self * omega_shift(self.n, -m), m
 
     def is_finite(self) -> bool:
-        """Whether the window is a permutation of 1..n (zero translation part)."""
-        return _is_finite(self.window)
+        """Whether the window is a permutation of 1..n (zero translation
+        part); its residues are distinct, so its extremes decide."""
+        return 1 <= min(self.window) and max(self.window) <= self.n
 
     def finite_part(self) -> "WeylElement":
         """Image under the projection to the finite Weyl group (window mod n)."""

@@ -186,6 +186,8 @@ def test_verify_budget_overrun_is_undecided(monkeypatch, capsys):
     assert code == 3
     assert "[ok] oracle n=6" in out
     assert "[budget] oracle n=7: undecided (" in out and "exceeded 100" in out
+    # the overrun also says how deep the walk got
+    assert re.search(r"exceeded 100 nodes at length \d+\)", out)
     assert "[FAIL]" not in out
 
 

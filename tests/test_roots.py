@@ -1,12 +1,15 @@
 """Root combinatorics: Phi_w, R(w), LP(w), supports, stable subsets."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv.reduction import commutes_with_level, level_is_stable
 from adlv.roots import (
+    BudgetExceededError,
+    _iter_inv_ideal,
     _proper_twisted_support,
     inv_set,
     is_sigma_coxeter,
@@ -138,6 +141,60 @@ def test_r_set_unconstrained_is_whole_group():
         assert set(lp_set(tau_element(n))) == full
         assert set(lp_set(identity(n))) == full
         assert identity(n) in r_set(w_kl(n, 1, n))
+
+
+@st.composite
+def _allowed_subsets(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    pos = pos_roots(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(pos), max_size=len(pos)))
+    return n, frozenset(r for r, k in zip(pos, keep) if k)
+
+
+@given(_allowed_subsets())
+@settings(max_examples=150, deadline=None)
+def test_ideal_walk_visits_each_element_once(case):
+    # any subset of positive roots, closed or not, against a filter over S_n
+    n, allowed = case
+    walked = list(_iter_inv_ideal(n, allowed, 10**6))
+    wins = [win for win, _ in walked]
+    want = {p for p in itertools.permutations(range(1, n + 1))
+            if inv_set(WeylElement(p)) <= allowed}
+    assert len(wins) == len(set(wins)) and set(wins) == want
+    assert wins[0] == tuple(range(1, n + 1))
+    lengths = [WeylElement(win).length() for win in wins]
+    assert lengths == sorted(lengths)
+    for win, pos in walked:
+        assert all(win[pos[v - 1] - 1] == v for v in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n, k, l", [(6, 2, 5), (7, 3, 6), (8, 2, 7), (8, 4, 8)])
+def test_ideal_walk_budget_is_exact(n, k, l):
+    w = w_kl(n, k, l)
+    allowed, ideal = phi_w(w), r_set(w)
+    size = len(ideal)
+    assert sum(1 for _ in _iter_inv_ideal(n, allowed, size)) == size
+    # the overrun names the length reached: the last level of the walk
+    top = max(u.length() for u in ideal)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^inversion-ideal search exceeded {size - 1} "
+                             f"nodes at length {top}$"):
+        for _ in _iter_inv_ideal(n, allowed, size - 1):
+            pass
+
+
+def test_ideal_walk_keeps_no_visited_set():
+    # w_{3,6} at n = 9 has 32 256 elements; a set of visited windows alone
+    # would take several MB, the queue of one breadth-first level far less
+    allowed = phi_w(w_kl(9, 3, 6))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _iter_inv_ideal(9, allowed, 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 32256
+    assert peak < 3 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
