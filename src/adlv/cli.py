@@ -57,32 +57,30 @@ def _label_json(lab: Optional[StratumLabel]) -> Optional[dict]:
 
 
 def classify_json(n: int) -> dict:
+    """One template for every label.  An empty label has no record: its
+    record fields read None, and its supports come from the closed form and
+    the window computation."""
     strata = []
     for k, l in sorted(gu.s_admissible(n)):
         cls = gu.classify(n, k, l)
         if cls is StratumClass.EMPTY:
-            w = gu.w_kl(n, k, l)
-            strata.append({
-                "k": k, "l": l, "class": cls.value, "length": k + l - 3,
-                "dim": None, "target": None, "rank": None, "base": None,
-                "parahoric": None,
-                "supp_sigma": sorted(gu.supp_sigma_closed(n, k, l)),
-                "s_w_sigma": sorted(roots.s_w_sigma(w)),
-                "positive_coxeter": False,
-            })
+            rec = None
+            supp = gu.supp_sigma_closed(n, k, l)
+            stable = roots.s_w_sigma(gu.w_kl(n, k, l))
         else:
             rec = gu.stratum_record(n, k, l)
-            strata.append({
-                "k": k, "l": l, "class": cls.value, "length": rec.length,
-                "dim": rec.dim,
-                "target": _label_json(rec.target),
-                "rank": rec.rank,
-                "base": _label_json(rec.base),
-                "parahoric": _set_json(rec.parahoric),
-                "supp_sigma": _set_json(rec.supp_sigma),
-                "s_w_sigma": _set_json(rec.s_w_sigma),
-                "positive_coxeter": rec.positive_coxeter,
-            })
+            supp, stable = rec.supp_sigma, rec.s_w_sigma
+        strata.append({
+            "k": k, "l": l, "class": cls.value, "length": k + l - 3,
+            "dim": getattr(rec, "dim", None),
+            "target": _label_json(getattr(rec, "target", None)),
+            "rank": getattr(rec, "rank", None),
+            "base": _label_json(getattr(rec, "base", None)),
+            "parahoric": _set_json(getattr(rec, "parahoric", None)),
+            "supp_sigma": sorted(supp),
+            "s_w_sigma": sorted(stable),
+            "positive_coxeter": getattr(rec, "positive_coxeter", False),
+        })
     return {"schema": 1, "n": n, "strata": strata}
 
 

@@ -15,6 +15,13 @@ order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
 
+The closed forms of a nonempty label live in one place: ``_build_record``
+branches once on the class (and once on the not-DL sub-case) and fills a
+whole ``StratumRecord``.  The per-field helpers (``w_prime``, ``s_closed``,
+``dim_stratum``, ...) classify once and read one field of that record,
+raising NotApplicableError on the classes where the field is undefined;
+``stratum_graph`` builds every record with one classification per label.
+
 Dimension bookkeeping: a DL stratum has dimension equal to its length; a
 not-DL stratum fibers over its target with one-dimensional fibers, so its
 dimension is the target's plus one.
@@ -215,104 +222,132 @@ def classify_by_criterion(n: int, k: int, l: int,
     return StratumClass.EMPTY if verdict.empty else StratumClass.NOT_DL
 
 
-def _require(n: int, k: int, l: int, wanted: StratumClass, what: str) -> None:
-    got = classify(n, k, l)
-    if got is not wanted:
+# ---------------------------------------------------------------------------
+# the closed-form record of a label
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class StratumRecord:
+    label: StratumLabel
+    stratum_class: StratumClass
+    length: int
+    dim: int
+    target: Optional[StratumLabel]
+    rank: Optional[int]
+    base: Optional[StratumLabel]
+    supp_sigma: frozenset[int]
+    s_w_sigma: frozenset[int]
+    parahoric: frozenset[int]
+    j_set: Optional[frozenset[int]]
+    positive_coxeter: bool
+
+
+def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
+    """Closed form of the twisted support of w_{k,l}, on every label (empty
+    labels have k >= 3 and take the k >= 2 branch): the letters i and n-2-i
+    for i < l-2, plus n-1 when k >= 2."""
+    _check_label(n, k, l)
+    if k == 1 and 2 * l > n + 2:
+        return frozenset(range(n - 1))
+    out = frozenset(range(l - 2)) | frozenset(range(n - l + 1, n - 1))
+    return out | {n - 1} if k >= 2 else out
+
+
+def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
+    """
+    Every closed-form datum of a nonempty label of class ``cls``.
+
+    A DL stratum has dimension equal to its length, and its parahoric type is
+    the shift by one (mod n) of supp_sigma ∪ S(w,sigma).  A not-DL stratum
+    fibers over its target w_prime (three sub-cases: k+l <= n+2, = n+3,
+    >= n+4) with one-dimensional fibers, down to a DL base (1, l'); its
+    dimension is l' - 2 plus the fibration rank, its parahoric level is
+    hyperspecial, and its reduction chains consume the letters ``j_set``.
+    """
+    supp = supp_sigma_closed(n, k, l)
+    target = rank = base = letters = None
+    positive_coxeter = False
+    if cls is StratumClass.DL:
+        if l == k + 1:
+            stable = frozenset(range(k, n - k - 1))
+            if k % 2 == 1:
+                stable |= frozenset(range(1, k - 1, 2))
+                stable |= frozenset(range(n - 1, n - k - 1, -2))
+        elif 2 * l <= n + 2:
+            stable = frozenset(range(l - 1, n - l))
+        else:
+            stable = frozenset(range(n - l + 2, l - 2))
+        dim = k + l - 3
+        parahoric = frozenset((i + 1) % n for i in supp | stable)
+    else:
+        letters = frozenset(range(k - 2)) | frozenset(range(n - k + 1, n))
+        if k + l <= n + 2:
+            target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, StratumLabel(1, l)
+            stable = frozenset(range(n - l + 2, l - 2))
+        else:
+            target = (StratumLabel(k - 1, l - 1) if k + l == n + 3
+                      else StratumLabel(k, l - 2))
+            rank, base = k + (l - n - 3) // 2, StratumLabel(1, n - k + 2)
+            stable = frozenset(range(k, n - k))
+            letters |= {k - 2}
+        dim = base.l - 2 + rank
+        parahoric = frozenset(range(1, n))
+        if n % 2 == 1:
+            positive_coxeter = 2 * k == n + 1 or 2 * l == n + 3
+        else:
+            positive_coxeter = 2 * k == n or 2 * l == n + 4
+    return StratumRecord(StratumLabel(k, l), cls, k + l - 3, dim, target, rank,
+                         base, supp, stable, parahoric, letters,
+                         positive_coxeter)
+
+
+_NONEMPTY = frozenset({StratumClass.DL, StratumClass.NOT_DL})
+_NOT_DL = frozenset({StratumClass.NOT_DL})
+
+
+def _record(n: int, k: int, l: int, allowed: frozenset[StratumClass],
+            what: str) -> StratumRecord:
+    """Classify once and return the record, or raise NotApplicableError when
+    the class is not ``allowed`` (``what`` names the datum asked for)."""
+    cls = classify(n, k, l)
+    if cls not in allowed:
+        if StratumClass.DL in allowed:
+            raise NotApplicableError(f"{what} is undefined on the empty stratum ({k},{l})")
         raise NotApplicableError(
-            f"{what} is defined for {wanted.value} labels; ({k},{l}) at n={n} is {got.value}")
+            f"{what} is defined for not_dl labels; ({k},{l}) at n={n} is {cls.value}")
+    return _build_record(n, k, l, cls)
 
 
-def _require_nonempty(n: int, k: int, l: int, what: str) -> StratumClass:
-    got = classify(n, k, l)
-    if got is StratumClass.EMPTY:
-        raise NotApplicableError(f"{what} is undefined on the empty stratum ({k},{l})")
-    return got
+def stratum_record(n: int, k: int, l: int) -> StratumRecord:
+    """The closed-form record of a nonempty label."""
+    return _record(n, k, l, _NONEMPTY, "the stratum record")
 
-
-# ---------------------------------------------------------------------------
-# the fibration structure
-# ---------------------------------------------------------------------------
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
     """One-step fibration target of a non-DL stratum."""
-    _require(n, k, l, StratumClass.NOT_DL, "the fibration target")
-    if k + l <= n + 2:
-        return StratumLabel(k - 2, l)
-    if k + l == n + 3:
-        return StratumLabel(k - 1, l - 1)
-    return StratumLabel(k, l - 2)
+    return _record(n, k, l, _NOT_DL, "the fibration target").target
 
 
 def fibration_rank(n: int, k: int, l: int) -> int:
     """Number of one-dimensional fibration steps down to the DL base."""
-    _require(n, k, l, StratumClass.NOT_DL, "the fibration rank")
-    if k + l <= n + 2:
-        return (k - 1) // 2
-    return k + (l - n - 3) // 2
+    return _record(n, k, l, _NOT_DL, "the fibration rank").rank
 
 
 def fibration_base(n: int, k: int, l: int) -> StratumLabel:
     """Terminal DL label under iterated w_prime."""
-    _require(n, k, l, StratumClass.NOT_DL, "the fibration base")
-    if k + l <= n + 2:
-        return StratumLabel(1, l)
-    return StratumLabel(1, n - k + 2)
-
-
-# ---------------------------------------------------------------------------
-# closed-form supports and parahoric data
-# ---------------------------------------------------------------------------
-
-def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
-    """Closed form of the twisted support of w_{k,l}, on every label (empty
-    labels have k >= 3 and take the k >= 2 branch)."""
-    _check_label(n, k, l)
-    if k >= 2:
-        out = {n - 1}
-        for i in range(0, l - 2):
-            out.add(i)
-            out.add((n - i - 2) % n)
-        return frozenset(out)
-    if 2 * l <= n + 2:
-        out = set()
-        for i in range(0, l - 2):
-            out.add(i)
-            out.add((n - i - 2) % n)
-        return frozenset(out)
-    return frozenset(range(n)) - {n - 1}
+    return _record(n, k, l, _NOT_DL, "the fibration base").base
 
 
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
     simple reflections; defined on DL and not-DL labels only (empty labels
     raise NotApplicableError, ``roots.s_w_sigma`` serves them)."""
-    cls = _require_nonempty(n, k, l, "the stable finite subset")
-    if cls is StratumClass.DL:
-        if l == k + 1:
-            middle = frozenset(range(k, n - k - 1))
-            if k % 2 == 1:
-                lower = frozenset(range(1, k - 1, 2))
-                upper = frozenset(range(n - 1, n - k - 1, -2))
-                return middle | lower | upper
-            return middle
-        if 2 * l <= n + 2:
-            return frozenset(range(l - 1, n - l))
-        return frozenset(range(n - l + 2, l - 2))
-    if k + l <= n + 2:
-        return frozenset(range(n - l + 2, l - 2))
-    return frozenset(range(k, n - k))
+    return _record(n, k, l, _NONEMPTY, "the stable finite subset").s_w_sigma
 
 
 def j_set(n: int, k: int, l: int) -> frozenset[int]:
     """Letters consumed by the reduction chains from (k,l) to its target."""
-    _require(n, k, l, StratumClass.NOT_DL, "the reduction-letter set")
-    out = {n - 1}
-    for i in range(0, k - 2):
-        out.add(i)
-        out.add((n - i - 2) % n)
-    if k + l >= n + 3:
-        out.add(k - 2)
-    return frozenset(out)
+    return _record(n, k, l, _NOT_DL, "the reduction-letter set").j_set
 
 
 def parahoric_type(n: int, k: int, l: int) -> frozenset[int]:
@@ -321,57 +356,31 @@ def parahoric_type(n: int, k: int, l: int) -> frozenset[int]:
     one (mod n) of supp_sigma ∪ S(w,sigma) for DL labels, and the full finite
     set (hyperspecial level) for non-DL labels.
     """
-    cls = _require_nonempty(n, k, l, "the parahoric type")
-    if cls is StratumClass.NOT_DL:
-        return frozenset(range(1, n))
-    union = supp_sigma_closed(n, k, l) | s_closed(n, k, l)
-    return frozenset((i + 1) % n for i in union)
+    return _record(n, k, l, _NONEMPTY, "the parahoric type").parahoric
+
+
+def dim_stratum(n: int, k: int, l: int) -> int:
+    """Stratum dimension: the length for DL labels, target dimension plus one
+    along each fibration step, i.e. the dimension l - 2 of the DL base (1, l)
+    plus the fibration rank."""
+    return _record(n, k, l, _NONEMPTY, "the dimension").dim
+
+
+def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
+    """Closed form of positive-Coxeter detection on non-DL labels."""
+    return _record(n, k, l, _NOT_DL, "positive-Coxeter detection").positive_coxeter
 
 
 def w0_element(n: int, k: int, l: int) -> WeylElement:
     """b⁻¹ · tau1 · w_{k,l} · sigma(tau1)⁻¹, a plain affine element; finite
     exactly when the shifted support union fills the finite diagram (the DL
     labels with k = 1 and 2l >= n+3)."""
-    _require_nonempty(n, k, l, "the hyperspecial-frame element")
+    _record(n, k, l, _NONEMPTY, "the hyperspecial-frame element")
     t1 = tau1(n)
     out = b_element(n).inv() * t1 * w_kl(n, k, l) * t1.sigma().inv()
     if out.omega() != 0 or out.similitude != 0:
         raise AssertionError("frame-shifted element left the affine subgroup")
     return out
-
-
-# ---------------------------------------------------------------------------
-# dimensions and components
-# ---------------------------------------------------------------------------
-
-def dim_stratum(n: int, k: int, l: int) -> int:
-    """Stratum dimension: the length for DL labels, target dimension plus one
-    along each fibration step, i.e. the dimension l - 2 of the DL base (1, l)
-    plus the fibration rank."""
-    cls = _require_nonempty(n, k, l, "the dimension")
-    if cls is StratumClass.DL:
-        return k + l - 3
-    return fibration_base(n, k, l).l - 2 + fibration_rank(n, k, l)
-
-
-def _nonempty_labels(n: int) -> list[StratumLabel]:
-    return [lab for lab in sorted(s_admissible(n))
-            if classify(n, *lab) is not StratumClass.EMPTY]
-
-
-def dim_basic_locus(n: int) -> int:
-    return max(dim_stratum(n, *lab) for lab in _nonempty_labels(n))
-
-
-def top_strata(n: int) -> frozenset[StratumLabel]:
-    d = dim_basic_locus(n)
-    return frozenset(lab for lab in _nonempty_labels(n)
-                     if dim_stratum(n, *lab) == d)
-
-
-def irr_orbit_count(n: int) -> int:
-    """Number of orbits of irreducible components under the group action."""
-    return len(top_strata(n))
 
 
 # ---------------------------------------------------------------------------
@@ -398,33 +407,9 @@ def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
     return any(bruhat_leq(c, w) for c in conjugates)
 
 
-def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
-    """Closed form of positive-Coxeter detection on non-DL labels."""
-    _require(n, k, l, StratumClass.NOT_DL, "positive-Coxeter detection")
-    if n % 2 == 1:
-        return 2 * k == n + 1 or 2 * l == n + 3
-    return 2 * k == n or 2 * l == n + 4
-
-
 # ---------------------------------------------------------------------------
-# records and the fibration graph
+# the fibration graph, dimensions and components
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class StratumRecord:
-    label: StratumLabel
-    stratum_class: StratumClass
-    length: int
-    dim: int
-    target: Optional[StratumLabel]
-    rank: Optional[int]
-    base: Optional[StratumLabel]
-    supp_sigma: frozenset[int]
-    s_w_sigma: frozenset[int]
-    parahoric: frozenset[int]
-    j_set: Optional[frozenset[int]]
-    positive_coxeter: bool
-
 
 @dataclass(frozen=True, slots=True)
 class StratumGraph:
@@ -442,34 +427,34 @@ class StratumGraph:
         return self._index[k, l]
 
 
-def stratum_record(n: int, k: int, l: int) -> StratumRecord:
-    cls = _require_nonempty(n, k, l, "the stratum record")
-    not_dl = cls is StratumClass.NOT_DL
-    return StratumRecord(
-        label=StratumLabel(k, l),
-        stratum_class=cls,
-        length=k + l - 3,
-        dim=dim_stratum(n, k, l),
-        target=w_prime(n, k, l) if not_dl else None,
-        rank=fibration_rank(n, k, l) if not_dl else None,
-        base=fibration_base(n, k, l) if not_dl else None,
-        supp_sigma=supp_sigma_closed(n, k, l),
-        s_w_sigma=s_closed(n, k, l),
-        parahoric=parahoric_type(n, k, l),
-        j_set=j_set(n, k, l) if not_dl else None,
-        positive_coxeter=positive_coxeter_closed(n, k, l) if not_dl else False,
-    )
-
-
 def stratum_graph(n: int) -> StratumGraph:
-    """All nonempty strata with their records, plus the fibration arrows."""
+    """All nonempty strata with their records, plus the fibration arrows
+    (records in label order, so the arrows come out sorted)."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    labels = _nonempty_labels(n)
-    records = tuple(stratum_record(n, *lab) for lab in labels)
-    edges = tuple(sorted((lab, w_prime(n, *lab)) for lab in labels
-                         if classify(n, *lab) is StratumClass.NOT_DL))
-    return StratumGraph(n, records, edges)
+    records = []
+    for k, l in sorted(s_admissible(n)):
+        cls = classify(n, k, l)
+        if cls is not StratumClass.EMPTY:
+            records.append(_build_record(n, k, l, cls))
+    edges = tuple((rec.label, rec.target) for rec in records
+                  if rec.target is not None)
+    return StratumGraph(n, tuple(records), edges)
+
+
+def dim_basic_locus(n: int) -> int:
+    return max(rec.dim for rec in stratum_graph(n).records)
+
+
+def top_strata(n: int) -> frozenset[StratumLabel]:
+    records = stratum_graph(n).records
+    d = max(rec.dim for rec in records)
+    return frozenset(rec.label for rec in records if rec.dim == d)
+
+
+def irr_orbit_count(n: int) -> int:
+    """Number of orbits of irreducible components under the group action."""
+    return len(top_strata(n))
 
 
 def graph_summary(g: StratumGraph) -> dict:

@@ -232,7 +232,8 @@ def _class_bfs(start: Window, n: int, budget: int, letters: list[int] | range,
         visited += 1
         if visited > budget:
             raise BudgetExceededError(
-                f"equal-length class search exceeded {budget} nodes")
+                f"equal-length class search exceeded {budget} nodes "
+                f"at depth {len(_path_letters(parents, cur))}")
         for i in letters:
             new, delta = _conj_delta(cur, i, n)
             if delta == 0 and new not in parents:

@@ -182,10 +182,6 @@ class WeylElement:
     def n(self) -> int:
         return len(self.window)
 
-    def apply(self, x: int) -> int:
-        """Value at any integer (the window extended n-periodically)."""
-        return _eval(self.window, x)
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} != {other.n}")
@@ -372,28 +368,21 @@ def decompose_xmy(w: WeylElement) -> tuple[WeylElement, Cocharacter, WeylElement
     """
     The unique normal form w = x · phi^λ · y with λ dominant, x, y finite, and
     phi^λ y minimal in its W_0-coset.  Satisfies ℓ(w) = ℓ(x) + <λ,2ρ> - ℓ(y).
+
+    Left multiplication by W_0 only permutes the residues of the values, so
+    write w(p) = r_p + n·q_p with r_p in 1..n.  The minimal representative of
+    W_0 · w gives the residues 1..n to the positions in increasing order of
+    the key p - n·q_p; that rank is y(p), λ at the rank is q_p, and x sends
+    the rank back to r_p.
     """
-    # descend to the minimal representative of W_0 · w
-    cur = w.window
-    x_word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, w.n):
-            if _left_descent(cur, i):
-                cur = _left_mul(cur, i)
-                x_word.append(i)
-                changed = True
-                break
-    # w = s_{a_1} ... s_{a_r} · cur with the a's in reversal order
-    x_win = tuple(range(1, w.n + 1))
-    for a in reversed(x_word):
-        x_win = _left_mul(x_win, a)
-    y_win = _finite_part(cur)
-    lam = [0] * w.n
-    for p in range(w.n):
-        lam[y_win[p] - 1] = (cur[p] - y_win[p]) // w.n
+    n = w.n
+    q = [(v - 1) // n for v in w.window]
+    x_win, lam, y_win = [0] * n, [0] * n, [0] * n
+    for rank, p in enumerate(sorted(range(n), key=lambda p: p - n * q[p])):
+        y_win[p] = rank + 1
+        x_win[rank] = w.window[p] - n * q[p]
+        lam[rank] = q[p]
     lamco = Cocharacter(tuple(lam), w.similitude)
     if not lamco.is_dominant():
         raise AssertionError("minimal coset representative has non-dominant part")
-    return WeylElement(x_win), lamco, WeylElement(y_win)
+    return WeylElement(tuple(x_win)), lamco, WeylElement(tuple(y_win))

@@ -1,11 +1,12 @@
 """Command-line surface: formats, round trips, exit codes."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
-from adlv import cli, roots
+from adlv import cli, gu, roots
 from adlv.gu import StratumClass, classify, s_admissible, stratum_record, w_kl
 from adlv.weyl import WeylElement
 
@@ -123,6 +124,51 @@ def test_classify_stays_closed_form(monkeypatch):
         assert cli.classify_json(n)["n"] == n
         assert cli.classify_dot(n).startswith("digraph strata {")
         assert cli.classify_table(n).startswith("(k,l)")
+
+
+# sha256 of the concatenated outputs for n = 2..40, each followed by a
+# newline, as emitted before the stratum data moved into one record builder
+_CLASSIFY_DIGESTS = {
+    "json": "fb4092dccf8363e18c43f6409be6fcb2eabd41512d24d27afd46492e9f46e115",
+    "dot": "7ff5f79b210944fcecf351ec375553170ab10f016c0da46588220e160d00a854",
+    "table": "cf8f5560c8482868bbaa8cc66de0d4b315efb9ac6bf65a080094c2816ef08a2f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_CLASSIFY_DIGESTS))
+def test_classify_output_is_byte_stable(fmt):
+    render = {
+        "json": lambda n: json.dumps(cli.classify_json(n), indent=2),
+        "dot": cli.classify_dot,
+        "table": cli.classify_table,
+    }[fmt]
+    digest = hashlib.sha256()
+    for n in range(2, 41):
+        digest.update((render(n) + "\n").encode())
+    assert digest.hexdigest() == _CLASSIFY_DIGESTS[fmt]
+
+
+def test_classify_classifies_each_label_at_most_twice(monkeypatch):
+    # one classification per label in the graph; the JSON adds one more per
+    # nonempty label for its record
+    calls = []
+    real = gu.classify
+
+    def counting(n, k, l):
+        calls.append((k, l))
+        return real(n, k, l)
+
+    monkeypatch.setattr(gu, "classify", counting)
+    n = 40
+    labels = len(s_admissible(n))
+    gu.stratum_graph(n)
+    assert len(calls) == labels
+    calls.clear()
+    cli.classify_dot(n)
+    assert len(calls) == labels
+    calls.clear()
+    cli.classify_json(n)
+    assert len(calls) <= 2 * labels
 
 
 def test_classify_usage_error(capsys):

@@ -167,7 +167,9 @@ def test_approx_equiv_budget_error():
     # same length, inequivalent: the truncated search must raise, not report False
     w, other = w_kl(9, 5, 8), w_kl(9, 4, 9)
     assert w.length() == other.length()
-    with pytest.raises(BudgetExceededError):
+    # the root and two neighbours fit; the overrun is a depth-1 node
+    with pytest.raises(BudgetExceededError,
+                       match=r"^equal-length class search exceeded 3 nodes at depth 1$"):
         approx_equiv(w, other, budget=3)
     assert approx_equiv(w, other) is False
 

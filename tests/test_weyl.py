@@ -260,7 +260,7 @@ def test_decompose_identity_and_dominant_translation():
     assert x == identity(4) and y == identity(4) and lam.coords == (3, 1, 0, -2)
 
 
-@given(weyl_elements(max_n=9, max_len=12))
+@given(weyl_elements(max_n=12, max_len=12))
 def test_decompose_contract(w):
     x, lam, y = decompose_xmy(w)
     assert x.is_finite() and y.is_finite()
