@@ -28,6 +28,8 @@ USAGE_ERROR = 2
 UNDECIDED = 3  # a verify check ran out of search budget
 
 SUITES = ("oracle", "closedforms", "reduction", "figures", "all")
+REPORT_FIELDS = ("window", "length", "omega", "supp_sigma", "s_w_sigma",
+                 "phi_w_size", "lp_size", "empty", "witness")
 
 
 def _budget() -> int:
@@ -48,39 +50,21 @@ def _budget() -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def _set_json(s: Optional[frozenset[int]]) -> Optional[list[int]]:
-    return None if s is None else sorted(s)
-
-
 def _label_json(lab: Optional[StratumLabel]) -> Optional[dict]:
     return None if lab is None else {"k": lab.k, "l": lab.l}
 
 
 def classify_json(n: int) -> dict:
-    """One template for every label.  An empty label has no record: its
-    record fields read None, and its supports come from the closed form and
-    the window computation."""
-    strata = []
-    for k, l in sorted(gu.s_admissible(n)):
-        cls = gu.classify(n, k, l)
-        if cls is StratumClass.EMPTY:
-            rec = None
-            supp = gu.supp_sigma_closed(n, k, l)
-            stable = roots.s_w_sigma(gu.w_kl(n, k, l))
-        else:
-            rec = gu.stratum_record(n, k, l)
-            supp, stable = rec.supp_sigma, rec.s_w_sigma
-        strata.append({
-            "k": k, "l": l, "class": cls.value, "length": k + l - 3,
-            "dim": getattr(rec, "dim", None),
-            "target": _label_json(getattr(rec, "target", None)),
-            "rank": getattr(rec, "rank", None),
-            "base": _label_json(getattr(rec, "base", None)),
-            "parahoric": _set_json(getattr(rec, "parahoric", None)),
-            "supp_sigma": sorted(supp),
-            "s_w_sigma": sorted(stable),
-            "positive_coxeter": getattr(rec, "positive_coxeter", False),
-        })
+    """One template for every label, read off its closed-form record."""
+    strata = [{
+        "k": rec.label.k, "l": rec.label.l, "class": rec.stratum_class.value,
+        "length": rec.length, "dim": rec.dim,
+        "target": _label_json(rec.target), "rank": rec.rank,
+        "base": _label_json(rec.base),
+        "parahoric": None if rec.parahoric is None else sorted(rec.parahoric),
+        "supp_sigma": sorted(rec.supp_sigma), "s_w_sigma": sorted(rec.s_w_sigma),
+        "positive_coxeter": rec.positive_coxeter,
+    } for rec in gu.stratum_records(n)]
     return {"schema": 1, "n": n, "strata": strata}
 
 
@@ -192,8 +176,6 @@ def _suite_closedforms(n_max: int, budget: int) -> list[CheckResult]:
                 return False, f"length of ({k},{l}) is {w.length()}, not {k + l - 3}"
             if roots.supp_sigma(w) != gu.supp_sigma_closed(n, k, l):
                 return False, f"twisted support mismatch at ({k},{l})"
-            if gu.classify(n, k, l) is StratumClass.EMPTY:
-                continue
             if roots.s_w_sigma(w) != gu.s_closed(n, k, l):
                 return False, f"stable-subset mismatch at ({k},{l})"
         if gu.dim_basic_locus(n) != n - 2 or gu.irr_orbit_count(n) != n // 2:
@@ -325,10 +307,15 @@ def cmd_element(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
+    fields = REPORT_FIELDS if args.show is None else [f.strip() for f in args.show.split(",")]
+    unknown = [f for f in fields if f not in REPORT_FIELDS]
+    if unknown:
+        print(f"unknown report fields: {', '.join(unknown)}; "
+              f"valid fields: {', '.join(REPORT_FIELDS)}", file=sys.stderr)
+        return USAGE_ERROR
     report = element_report(args.n, word, args.omega, _budget())
-    fields = None if args.show is None else [f.strip() for f in args.show.split(",")]
     for key, value in report.items():
-        if fields is None or key in fields:
+        if key in fields:
             print(f"{key}: {value}")
     return 0
 

@@ -15,12 +15,13 @@ order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
 
-The closed forms of a nonempty label live in one place: ``_build_record``
-branches once on the class (and once on the not-DL sub-case) and fills a
-whole ``StratumRecord``.  The per-field helpers (``w_prime``, ``s_closed``,
-``dim_stratum``, ...) classify once and read one field of that record,
-raising NotApplicableError on the classes where the field is undefined;
-``stratum_graph`` builds every record with one classification per label.
+The closed forms of a label live in one place: ``_build_record`` branches
+once on the class (and once on the not-DL sub-case) and fills a whole
+``StratumRecord``, for empty labels too, where only the class-free supports
+and stable set (``supp_sigma_closed``, ``s_closed``) are defined.  The other
+per-field helpers (``w_prime``, ``dim_stratum``, ...) classify once and read
+one field of that record, raising NotApplicableError where it is undefined;
+``stratum_records`` builds every record with one classification per label.
 
 Dimension bookkeeping: a DL stratum has dimension equal to its length; a
 not-DL stratum fibers over its target with one-dimensional fibers, so its
@@ -77,6 +78,7 @@ __all__ = [
     "geq_s_sigma",
     "positive_coxeter_closed",
     "stratum_record",
+    "stratum_records",
     "stratum_graph",
     "graph_summary",
     "canonical_graph_bytes",
@@ -231,20 +233,20 @@ class StratumRecord:
     label: StratumLabel
     stratum_class: StratumClass
     length: int
-    dim: int
+    dim: Optional[int]
     target: Optional[StratumLabel]
     rank: Optional[int]
     base: Optional[StratumLabel]
     supp_sigma: frozenset[int]
     s_w_sigma: frozenset[int]
-    parahoric: frozenset[int]
+    parahoric: Optional[frozenset[int]]
     j_set: Optional[frozenset[int]]
     positive_coxeter: bool
 
 
 def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the twisted support of w_{k,l}, on every label (empty
-    labels have k >= 3 and take the k >= 2 branch): the letters i and n-2-i
+    labels have k >= 2 and take the k >= 2 branch): the letters i and n-2-i
     for i < l-2, plus n-1 when k >= 2."""
     _check_label(n, k, l)
     if k == 1 and 2 * l > n + 2:
@@ -253,9 +255,33 @@ def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     return out | {n - 1} if k >= 2 else out
 
 
+def s_closed(n: int, k: int, l: int) -> frozenset[int]:
+    """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
+    simple reflections, on every label (``roots.s_w_sigma`` is its oracle).
+    In half-open intervals it is [lo, hi) = [l-1, n-l) when 2l <= n+2, else
+    [k, n-k) (2k <= n) or [n-k+2, k-1) (2k > n) clipped to [n-l+2, l-2).
+    When l = k+1 with lo odd and 2k != n+1, the odd letters below lo-1 and
+    the letters n-1, n-3, ... above hi join it.
+
+    >>> sorted(s_closed(12, 9, 10))
+    [1, 3, 5, 6, 7, 9, 11]
+    """
+    _check_label(n, k, l)
+    if 2 * l <= n + 2:
+        lo, hi = l - 1, n - l
+    else:
+        lo, hi = (k, n - k) if 2 * k <= n else (n - k + 2, k - 1)
+        lo, hi = max(lo, n - l + 2), min(hi, l - 2)
+    out = frozenset(range(lo, hi))
+    if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
+        out |= frozenset(range(1, lo - 1, 2)) | frozenset(range(n - 1, hi, -2))
+    return out
+
+
 def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
     """
-    Every closed-form datum of a nonempty label of class ``cls``.
+    Every closed-form datum of a label of class ``cls`` (an empty label has
+    its supports and stable set only).
 
     A DL stratum has dimension equal to its length, and its parahoric type is
     the shift by one (mod n) of supp_sigma ∪ S(w,sigma).  A not-DL stratum
@@ -264,31 +290,20 @@ def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
     dimension is l' - 2 plus the fibration rank, its parahoric level is
     hyperspecial, and its reduction chains consume the letters ``j_set``.
     """
-    supp = supp_sigma_closed(n, k, l)
-    target = rank = base = letters = None
+    supp, stable = supp_sigma_closed(n, k, l), s_closed(n, k, l)
+    dim = parahoric = target = rank = base = letters = None
     positive_coxeter = False
     if cls is StratumClass.DL:
-        if l == k + 1:
-            stable = frozenset(range(k, n - k - 1))
-            if k % 2 == 1:
-                stable |= frozenset(range(1, k - 1, 2))
-                stable |= frozenset(range(n - 1, n - k - 1, -2))
-        elif 2 * l <= n + 2:
-            stable = frozenset(range(l - 1, n - l))
-        else:
-            stable = frozenset(range(n - l + 2, l - 2))
         dim = k + l - 3
         parahoric = frozenset((i + 1) % n for i in supp | stable)
-    else:
+    elif cls is StratumClass.NOT_DL:
         letters = frozenset(range(k - 2)) | frozenset(range(n - k + 1, n))
         if k + l <= n + 2:
             target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, StratumLabel(1, l)
-            stable = frozenset(range(n - l + 2, l - 2))
         else:
             target = (StratumLabel(k - 1, l - 1) if k + l == n + 3
                       else StratumLabel(k, l - 2))
             rank, base = k + (l - n - 3) // 2, StratumLabel(1, n - k + 2)
-            stable = frozenset(range(k, n - k))
             letters |= {k - 2}
         dim = base.l - 2 + rank
         parahoric = frozenset(range(1, n))
@@ -323,6 +338,12 @@ def stratum_record(n: int, k: int, l: int) -> StratumRecord:
     return _record(n, k, l, _NONEMPTY, "the stratum record")
 
 
+def stratum_records(n: int) -> list[StratumRecord]:
+    """Every label's closed-form record, in label order, one classify each."""
+    return [_build_record(n, k, l, classify(n, k, l))
+            for k, l in sorted(s_admissible(n))]
+
+
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
     """One-step fibration target of a non-DL stratum."""
     return _record(n, k, l, _NOT_DL, "the fibration target").target
@@ -336,13 +357,6 @@ def fibration_rank(n: int, k: int, l: int) -> int:
 def fibration_base(n: int, k: int, l: int) -> StratumLabel:
     """Terminal DL label under iterated w_prime."""
     return _record(n, k, l, _NOT_DL, "the fibration base").base
-
-
-def s_closed(n: int, k: int, l: int) -> frozenset[int]:
-    """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
-    simple reflections; defined on DL and not-DL labels only (empty labels
-    raise NotApplicableError, ``roots.s_w_sigma`` serves them)."""
-    return _record(n, k, l, _NONEMPTY, "the stable finite subset").s_w_sigma
 
 
 def j_set(n: int, k: int, l: int) -> frozenset[int]:
@@ -432,14 +446,11 @@ def stratum_graph(n: int) -> StratumGraph:
     (records in label order, so the arrows come out sorted)."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    records = []
-    for k, l in sorted(s_admissible(n)):
-        cls = classify(n, k, l)
-        if cls is not StratumClass.EMPTY:
-            records.append(_build_record(n, k, l, cls))
+    records = tuple(_build_record(n, k, l, cls) for k, l in sorted(s_admissible(n))
+                    if (cls := classify(n, k, l)) is not StratumClass.EMPTY)
     edges = tuple((rec.label, rec.target) for rec in records
                   if rec.target is not None)
-    return StratumGraph(n, tuple(records), edges)
+    return StratumGraph(n, records, edges)
 
 
 def dim_basic_locus(n: int) -> int:

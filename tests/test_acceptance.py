@@ -100,8 +100,8 @@ def test_criterion_2_golden_figures():
 
 
 def test_criterion_3_closed_form_cross_checks():
-    """Lengths, root complements and supports for all labels; stable subsets
-    and commuting J-sets for all nonempty labels; n in [2, 20]."""
+    """Lengths, root complements, supports and stable subsets for all labels;
+    commuting J-sets for all not-DL labels; n in [2, 20]."""
     for n in range(2, 21):
         for (k, l) in sorted(s_admissible(n)):
             w = w_kl(n, k, l)
@@ -110,8 +110,6 @@ def test_criterion_3_closed_form_cross_checks():
                     | {(i, n) for i in range(1, l - 1)})
             assert frozenset(roots.pos_roots(n)) - phi_w(w) == excl, (n, k, l)
             assert roots.supp_sigma(w) == supp_sigma_closed(n, k, l), (n, k, l)
-            if classify(n, k, l) is StratumClass.EMPTY:
-                continue
             assert roots.s_w_sigma(w) == s_closed(n, k, l), (n, k, l)
             if classify(n, k, l) is StratumClass.NOT_DL:
                 stable = s_closed(n, k, l)

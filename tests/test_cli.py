@@ -115,11 +115,15 @@ def test_classify_dot(capsys):
 
 
 def test_classify_stays_closed_form(monkeypatch):
-    # supports come from closed forms: no reduced word, no generic support
+    # every field comes from a closed form: no reduced word, no generic
+    # support or stable set, no representative, no element at all
     def forbidden(*args, **kwargs):
-        raise AssertionError("classify called generic support machinery")
+        raise AssertionError("classify called generic machinery")
     monkeypatch.setattr(WeylElement, "reduced_word", forbidden)
+    monkeypatch.setattr(WeylElement, "__post_init__", forbidden)
     monkeypatch.setattr(roots, "supp_sigma", forbidden)
+    monkeypatch.setattr(roots, "s_w_sigma", forbidden)
+    monkeypatch.setattr(gu, "w_kl", forbidden)
     for n in range(2, 21):
         assert cli.classify_json(n)["n"] == n
         assert cli.classify_dot(n).startswith("digraph strata {")
@@ -148,9 +152,8 @@ def test_classify_output_is_byte_stable(fmt):
     assert digest.hexdigest() == _CLASSIFY_DIGESTS[fmt]
 
 
-def test_classify_classifies_each_label_at_most_twice(monkeypatch):
-    # one classification per label in the graph; the JSON adds one more per
-    # nonempty label for its record
+def test_classify_classifies_each_label_once(monkeypatch):
+    # one classification per label in the graph, the DOT and the JSON
     calls = []
     real = gu.classify
 
@@ -168,7 +171,7 @@ def test_classify_classifies_each_label_at_most_twice(monkeypatch):
     assert len(calls) == labels
     calls.clear()
     cli.classify_json(n)
-    assert len(calls) <= 2 * labels
+    assert sorted(calls) == sorted(s_admissible(n))
 
 
 def test_classify_usage_error(capsys):
@@ -300,6 +303,19 @@ def test_element_show_filter(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["length: 1", "omega: 0"]
+
+
+def test_element_show_rejects_unknown_fields(capsys):
+    code, out, err = run_cli(capsys, "element", "--n", "5", "--word", "0,1",
+                             "--show", "length,bogus,nope")
+    assert code == 2 and out == ""
+    assert "bogus, nope" in err
+    assert all(name in err for name in cli.REPORT_FIELDS)
+    # witness is a valid name even when the report has none
+    code, out, _ = run_cli(capsys, "element", "--n", "5", "--word", "0,1",
+                           "--show", "length,witness")
+    assert code == 0 and out == "length: 2\n"
+    assert set(cli.element_report(5, [0, 1], 0, 1000)) <= set(cli.REPORT_FIELDS)
 
 
 def test_element_malformed_word(capsys):

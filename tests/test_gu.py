@@ -28,6 +28,7 @@ from adlv.gu import (
     s_closed,
     stratum_graph,
     stratum_record,
+    stratum_records,
     supp_sigma_closed,
     tau_element,
     top_strata,
@@ -172,8 +173,6 @@ def test_closed_forms_match_generic_to_20():
         for (k, l) in sorted(s_admissible(n)):
             w = w_kl(n, k, l)
             assert roots.supp_sigma(w) == supp_sigma_closed(n, k, l), (n, k, l)
-            if classify(n, k, l) is StratumClass.EMPTY:
-                continue
             assert roots.s_w_sigma(w) == s_closed(n, k, l), (n, k, l)
             # the closed-form stable set is indeed permuted by the twisted
             # conjugation, not merely contained in its image
@@ -325,6 +324,22 @@ def test_stratum_record_fields():
     assert rec_dl.target is None and rec_dl.rank is None and rec_dl.j_set is None
     with pytest.raises(NotApplicableError):
         stratum_record(13, 4, 10)
+
+
+def test_stratum_records_cover_every_label():
+    for n in range(2, 16):
+        records = stratum_records(n)
+        assert [rec.label for rec in records] == sorted(s_admissible(n))
+        for rec in records:
+            k, l = rec.label
+            assert rec.stratum_class is classify(n, k, l)
+            assert rec.s_w_sigma == s_closed(n, k, l)
+            if rec.stratum_class is StratumClass.EMPTY:
+                assert rec.supp_sigma == supp_sigma_closed(n, k, l)
+                assert (rec.dim, rec.parahoric, rec.target, rec.rank, rec.base,
+                        rec.j_set, rec.positive_coxeter) == (None,) * 6 + (False,)
+            else:
+                assert rec == stratum_record(n, k, l)
 
 
 def test_stratum_graph_small():

@@ -24,7 +24,7 @@ from adlv.roots import (
     tau_sigma_orbits,
 )
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
-from adlv.gu import StratumClass, classify, s_admissible, s_closed, tau_element, w_kl
+from adlv.gu import s_admissible, s_closed, tau_element, w_kl
 
 from conftest import (
     act,
@@ -391,8 +391,7 @@ def test_window_predicates_use_no_words_or_products(monkeypatch):
     for n in range(2, 13):
         for (k, l) in sorted(s_admissible(n)):
             w = w_kl(n, k, l)
-            level = (s_w_sigma_oracle(w) if classify(n, k, l) is StratumClass.EMPTY
-                     else s_closed(n, k, l))
+            level = s_closed(n, k, l)
             base = supp_word(w)
             u = w.finite_part()
             cases.append((w, u, level, {
