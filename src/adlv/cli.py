@@ -9,7 +9,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 no failure but some verify check
 undecided because its bounded search ran out of budget (printed as
 ``[budget] <check>: undecided (...)``).  ADLV_BFS_BUDGET overrides the node
-budget of the bounded searches.
+budget of the bounded searches.  ``--n-max`` caps the rank of every verify
+suite but ``figures``, which always checks the figures at n = 13 and 14.
 """
 
 from __future__ import annotations
@@ -304,6 +305,7 @@ def cmd_element(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         word = _parse_word(args.word, args.n)
+        from_word(args.n, word, omega=args.omega)  # window entries in range
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR

@@ -43,7 +43,6 @@ from .weyl import (
     WeylElement,
     decompose_xmy,
     simple_ref,
-    _left_descent,
     _left_mul,
     _mul,
     _right_mul,
@@ -197,16 +196,14 @@ def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
 # ---------------------------------------------------------------------------
 
 def _conj_delta(win: tuple[int, ...], i: int, n: int) -> tuple[tuple[int, ...], int]:
-    """Window of s_i·w·sigma(s_i) together with the length change."""
-    j = (n - i) % n  # sigma(s_i) = s_{n-i}
-    # right multiplication first
-    if j == 0:
-        d_r = -1 if win[n - 1] - n > win[0] else 1
-    else:
-        d_r = -1 if win[j - 1] > win[j] else 1
-    u = _right_mul(win, j)
-    d_l = -1 if _left_descent(u, i) else 1
-    return _left_mul(u, i), d_r + d_l
+    """
+    Window of s_i·w·sigma(s_i) and its length change (-2, 0 or 2): the sum
+    of the changes of the right action by sigma(s_i) = s_{n-i} and then of
+    the left action by s_i.
+    """
+    u, d_r = _right_mul(win, (n - i) % n)
+    new, d_l = _left_mul(u, i)
+    return new, d_r + d_l
 
 
 Window = tuple[int, ...]

@@ -24,9 +24,11 @@ The Frobenius twist sigma is the order-two automorphism
 which sends s_i to s_{n-i} (indices mod n) and a translation by λ to the
 translation by i -> -λ_{n+1-i}.
 
-Length is the number of affine inversions #{(i, j) : 1 <= i <= n, j > i,
-f(i) > f(j)}; the classical double-sum formula over positive roots is kept in
-the test suite as an independent oracle.
+Length is Shi's pairwise formula sum_{1 <= i < j <= n} |floor((f(j) - f(i))/n)|;
+the classical double-sum formula over positive roots is kept in the test
+suite as an independent oracle.  Each simple-reflection action, s_i·w
+(`_left_mul`) and w·s_i (`_right_mul`), returns the product window together
+with its length change ±1, so no caller tests a descent of its own.
 """
 
 from __future__ import annotations
@@ -83,60 +85,41 @@ def _sigma(a: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1 << 18)
 def _length(window: tuple[int, ...]) -> int:
-    """Affine inversion count #{(i, j) : i in [1, n], j > i, f(i) > f(j)}."""
+    """Shi's pairwise formula: the sum over i < j of |⌊(f(j) − f(i))/n⌋|."""
     n = len(window)
-    total = 0
-    for i in range(1, n + 1):
-        fi = window[i - 1]
-        for j0 in range(1, n + 1):
-            d = fi - window[j0 - 1]
-            # k ranges over integers with j0 + k*n > i and f(j0) + k*n < f(i)
-            kmin = (i - j0) // n + 1
-            kmax = -(-d // n) - 1
-            if kmax >= kmin:
-                total += kmax - kmin + 1
-    return total
+    return sum(abs((b - a) // n)
+               for k, a in enumerate(window) for b in window[k + 1:])
 
 
-def _left_mul(window: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Window of s_i ∘ w: swaps the residue classes i and i+1 among values."""
+def _left_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+    """
+    Window of s_i ∘ w and ℓ(s_i w) − ℓ(w).  The values ≡ i and ≡ i+1 (mod n),
+    at positions p and q, move up and down by one; s_i is a descent iff
+    w⁻¹(i) > w⁻¹(i+1), and w⁻¹(i) = p + i − w(p).
+    """
     n = len(window)
-    a = i % n if i % n else n          # residue class sent up
-    b = (i + 1) % n if (i + 1) % n else n
+    res = [v % n for v in window]
+    p, q = res.index(i), res.index((i + 1) % n)
     out = list(window)
-    for p, v in enumerate(out):
-        r = (v - 1) % n + 1
-        if r == a:
-            out[p] = v + 1
-        elif r == b:
-            out[p] = v - 1
-    return tuple(out)
+    out[p] += 1
+    out[q] -= 1
+    return tuple(out), -1 if p - window[p] > q - window[q] + 1 else 1
 
 
-def _right_mul(window: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Window of w ∘ s_i: swaps the positions i and i+1 (periodically)."""
+def _right_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+    """
+    Window of w ∘ s_i and ℓ(w s_i) − ℓ(w): swaps the positions i and i+1
+    (periodically); s_i is a descent iff w(i) > w(i+1), with w(0) = w(n) − n.
+    """
     n = len(window)
     out = list(window)
     if i == 0:
-        out[0], out[n - 1] = window[n - 1] - n, window[0] + n
+        a, b = window[n - 1] - n, window[0]
+        out[0], out[n - 1] = a, b + n
     else:
-        out[i - 1], out[i] = window[i], window[i - 1]
-    return tuple(out)
-
-
-def _inv_at(window: tuple[int, ...], x: int) -> int:
-    """Preimage of x, i.e. the position p with w(p) = x."""
-    n = len(window)
-    r = (x - 1) % n + 1
-    for p, v in enumerate(window, start=1):
-        if (v - 1) % n + 1 == r:
-            return p + (x - v) // n * n
-    raise AssertionError("window misses a residue class")
-
-
-def _left_descent(window: tuple[int, ...], i: int) -> bool:
-    """Whether ℓ(s_i w) < ℓ(w)."""
-    return _inv_at(window, i) > _inv_at(window, i + 1)
+        a, b = window[i - 1], window[i]
+        out[i - 1], out[i] = b, a
+    return tuple(out), -1 if a > b else 1
 
 
 def _finite_part(window: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,7 +154,7 @@ class WeylElement:
         seen = [False] * n
         for v in self.window:
             if not -_WINDOW_BOUND < v < _WINDOW_BOUND:
-                raise ValueError("window entry out of range")
+                raise ValueError(f"window entry {v} out of range")
             r = (v - 1) % n
             if seen[r]:
                 raise ValueError("window entries collide modulo n")
@@ -231,13 +214,12 @@ class WeylElement:
         """
         word: list[int] = []
         cur = self.window
-        ell = _length(cur)
-        while ell > 0:
+        for _ in range(_length(cur)):
             for i in range(len(cur)):
-                if _left_descent(cur, i):
+                nxt, delta = _left_mul(cur, i)
+                if delta < 0:
                     word.append(i)
-                    cur = _left_mul(cur, i)
-                    ell -= 1
+                    cur = nxt
                     break
             else:
                 raise AssertionError("positive length but no descent")
@@ -248,8 +230,7 @@ class WeylElement:
 
     def is_min_coset_rep(self) -> bool:
         """Whether ℓ(s_i w) > ℓ(w) for every finite i (minimal in W_0 w)."""
-        inv = _inv(self.window)
-        return all(_eval(inv, i) < _eval(inv, i + 1) for i in range(1, self.n))
+        return self.left_descents() <= {0}
 
     def __str__(self) -> str:
         body = ",".join(str(v) for v in self.window)
@@ -340,11 +321,10 @@ def _bruhat_windows(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
     if _length(u) >= _length(w):
         return False
     for i in range(len(w)):
-        if _left_descent(w, i):
-            sw = _left_mul(w, i)
-            if _left_descent(u, i):
-                return _bruhat_windows(_left_mul(u, i), sw)
-            return _bruhat_windows(u, sw)
+        sw, dw = _left_mul(w, i)
+        if dw < 0:
+            su, du = _left_mul(u, i)
+            return _bruhat_windows(su if du < 0 else u, sw)
     raise AssertionError("positive length but no descent")
 
 

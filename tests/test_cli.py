@@ -324,3 +324,14 @@ def test_element_malformed_word(capsys):
     assert "out of range" in err
     code, _, err = run_cli(capsys, "element", "--n", "5", "--word", "a,b")
     assert code == 2
+
+
+def test_element_out_of_range_omega(capsys, monkeypatch):
+    def no_report(*args):
+        raise AssertionError("report computed for a rejected element")
+    monkeypatch.setattr(cli, "element_report", no_report)
+    for omega in ("3000000000", "-3000000000", str((1 << 31) - 5)):
+        code, out, err = run_cli(capsys, "element", "--n", "5", "--word", "0",
+                                 "--omega", omega)
+        assert code == 2 and out == ""
+        assert "out of range" in err

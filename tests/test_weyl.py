@@ -1,7 +1,7 @@
 """Group arithmetic, length, descent and Bruhat machinery."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from adlv.weyl import (
     Cocharacter,
@@ -14,6 +14,8 @@ from adlv.weyl import (
     simple_ref,
     tau1,
     translation,
+    _left_mul,
+    _right_mul,
 )
 from adlv.gu import b_element, mu, tau_element, w_kl
 
@@ -112,10 +114,30 @@ def test_length_basics():
             assert simple_ref(n, i).length() == 1
 
 
-@given(weyl_elements(max_n=10, max_len=14))
-@settings(max_examples=150)
+@st.composite
+def wide_windows(draw, max_n=12, bound=4):
+    """Arbitrary windows with translation parts up to ±bound; words of
+    bounded length reach only small translations."""
+    n = draw(st.integers(2, max_n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    shifts = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    return WeylElement(tuple(v + n * t for v, t in zip(perm, shifts)))
+
+
+@given(st.one_of(weyl_elements(max_n=10, max_len=14), wide_windows()))
+@settings(max_examples=300)
 def test_length_against_double_sum_formula(w):
     assert w.length() == length_formula(w)
+
+
+@given(weyl_elements(max_n=9))
+def test_simple_actions_return_product_and_length_change(w):
+    ell = length_formula(w)
+    for i in range(w.n):
+        s = simple_ref(w.n, i)
+        for action, product in ((_left_mul, s * w), (_right_mul, w * s)):
+            assert action(w.window, i) == (product.window,
+                                           length_formula(product) - ell)
 
 
 @given(weyl_elements(max_n=9))
@@ -228,7 +250,7 @@ def _ball(n, radius):
     return list(iter_ball(n, radius, 0))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_equals_subword_oracle_small(n):
     ball = _ball(n, 4)
     for w in ball:
