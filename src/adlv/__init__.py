@@ -1,81 +1,8 @@
 """Affine Weyl group combinatorics of the GU(2,n-2) basic locus."""
 
-from .weyl import (
-    Cocharacter,
-    WeylElement,
-    bruhat_leq,
-    decompose_xmy,
-    from_word,
-    identity,
-    omega_shift,
-    simple_ref,
-    tau1,
-    translation,
-)
-from .roots import (
-    BudgetExceededError,
-    inv_set,
-    is_sigma_coxeter,
-    is_sigma_coxeter_finite,
-    lp_set,
-    phi_w,
-    pos_roots,
-    r_set,
-    s_w_sigma,
-    supp,
-    supp_sigma,
-)
-from .reduction import (
-    ArrowKind,
-    ChainReport,
-    EmptinessVerdict,
-    IncreasingLengthError,
-    LevelViolationError,
-    NotMinCosetRepError,
-    ReductionArrow,
-    ReductionCertificate,
-    approx_equiv,
-    arrow,
-    commutes_with_level,
-    find_reduction,
-    level_is_stable,
-    is_empty_basic,
-    is_empty_basic_v_form,
-    positive_coxeter_generic,
-    verify_chain,
-)
-from .gu import (
-    NotApplicableError,
-    StratumClass,
-    StratumGraph,
-    StratumLabel,
-    StratumRecord,
-    b_element,
-    brute_force_s_adm,
-    classify,
-    classify_by_criterion,
-    closure_leq,
-    dim_basic_locus,
-    dim_stratum,
-    fibration_base,
-    fibration_rank,
-    geq_s_sigma,
-    irr_orbit_count,
-    j_set,
-    mu,
-    parahoric_type,
-    positive_coxeter_closed,
-    s_admissible,
-    s_closed,
-    stratum_graph,
-    stratum_record,
-    stratum_records,
-    supp_sigma_closed,
-    tau_element,
-    top_strata,
-    w0_element,
-    w_kl,
-    w_prime,
-)
+from .weyl import *
+from .roots import *
+from .reduction import *
+from .gu import *
 
 __version__ = "0.1.0"

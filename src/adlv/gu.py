@@ -340,6 +340,8 @@ def stratum_record(n: int, k: int, l: int) -> StratumRecord:
 
 def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     return [_build_record(n, k, l, classify(n, k, l))
             for k, l in sorted(s_admissible(n))]
 

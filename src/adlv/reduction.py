@@ -312,6 +312,8 @@ def find_reduction(w: WeylElement, target: WeylElement,
     stable.
     """
     n = w.n
+    if target.n != n:
+        raise ValueError("rank mismatch")
     if target.length() != w.length() - 2:
         raise ValueError("target length must be the source length minus two")
     if target.similitude != w.similitude or target.omega() != w.omega():

@@ -208,6 +208,32 @@ def test_verify_reduction_small(capsys):
     assert "chain convention" in out
 
 
+def test_verify_closedforms_small(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closedforms", "--n-max", "6")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[ok] closedforms n={n}" for n in range(2, 7)]
+
+
+def test_verify_closedforms_reports_wrong_stable_set(monkeypatch, capsys):
+    monkeypatch.setattr(gu, "s_closed", lambda n, k, l: frozenset({n}))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "closedforms", "--n-max", "6")
+    assert code == 1
+    assert "[FAIL] closedforms n=2: stable-subset mismatch" in out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_verify_rejects_invalid_budget(monkeypatch, capsys, raw):
+    monkeypatch.setenv("ADLV_BFS_BUDGET", raw)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "closedforms", "--n-max", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid ADLV_BFS_BUDGET: {raw!r}" in captured.err
+
+
 @pytest.mark.parametrize("n_max", ["0", "1", "-3"])
 def test_verify_rejects_n_max_below_two(capsys, n_max):
     code, out, err = run_cli(capsys, "verify", "--suite", "closedforms",
@@ -316,6 +342,12 @@ def test_element_show_rejects_unknown_fields(capsys):
                            "--show", "length,witness")
     assert code == 0 and out == "length: 2\n"
     assert set(cli.element_report(5, [0, 1], 0, 1000)) <= set(cli.REPORT_FIELDS)
+
+
+def test_element_rejects_rank_below_two(capsys):
+    code, out, err = run_cli(capsys, "element", "--n", "1", "--word", "")
+    assert code == 2 and out == ""
+    assert "n must be at least 2, got 1" in err
 
 
 def test_element_malformed_word(capsys):

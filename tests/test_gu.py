@@ -342,6 +342,15 @@ def test_stratum_records_cover_every_label():
                 assert rec == stratum_record(n, k, l)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_stratum_records_and_graph_reject_rank_below_two(n):
+    # both builders refuse the same ranks, with the same message
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        stratum_records(n)
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        stratum_graph(n)
+
+
 def test_stratum_graph_small():
     g = stratum_graph(2)
     assert [rec.label for rec in g.records] == [(1, 2)]

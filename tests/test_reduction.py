@@ -1,5 +1,7 @@
 """Arrows, chains, equal-length classes, and the emptiness criterion."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -21,7 +23,7 @@ from adlv.reduction import (
     verify_chain,
 )
 from adlv.roots import inv_set, lp_set, phi_w, supp_sigma
-from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
+from adlv.weyl import WeylElement, bruhat_leq, decompose_xmy, from_word, identity, simple_ref
 from adlv.gu import StratumClass, classify, s_admissible, tau_element, w_kl, w_prime
 
 from conftest import (
@@ -147,6 +149,17 @@ def test_approx_equiv_reflexive_and_rejects_length_mismatch():
     assert not approx_equiv(w, w_kl(5, 1, 4))
 
 
+def test_two_element_queries_reject_rank_mismatch():
+    # lengths 4 and 2, the same similitude and Omega, but ranks 5 and 6
+    w, other = w_kl(5, 3, 4), w_kl(6, 1, 4)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        approx_equiv(w, other)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        bruhat_leq(other, w)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        find_reduction(w, other)
+
+
 def test_approx_equiv_symmetric_transitive_small():
     n = 5
     elems = [_tau_word(n, word) for word in
@@ -202,6 +215,28 @@ def test_find_reduction_diagonal_case_n14():
 def test_find_reduction_precondition():
     with pytest.raises(ValueError):
         find_reduction(w_kl(5, 3, 4), w_kl(5, 1, 3))
+
+
+def test_certificate_verify_rejects_tampering():
+    cert = find_reduction(w_kl(9, 5, 8), w_kl(9, *w_prime(9, 5, 8)))
+    assert cert.verify() and cert.s == 8
+    # on the pivot, s_0 would raise the length and s_2 preserves it
+    with pytest.raises(IncreasingLengthError):
+        arrow(cert.pivot, 0)
+    assert arrow(cert.pivot, 2).kind is ArrowKind.LENGTH_PRESERVING
+    for change in ({"s": 0}, {"s": 2}, {"pivot": cert.dropped},
+                   {"dropped": cert.pivot}, {"target": cert.source}):
+        assert dataclasses.replace(cert, **change).verify() is False
+
+
+def test_find_reduction_rejects_illegal_levels():
+    # {3, 4} is not stable under w_{3,8} at n = 9
+    with pytest.raises(LevelViolationError, match="not stable"):
+        find_reduction(w_kl(9, 3, 8), w_kl(9, 1, 8), level=frozenset({3, 4}))
+    # s_1 s_2 s_1 has the left descent 1, so it is not minimal at the level {1}
+    with pytest.raises(LevelViolationError, match="not minimal"):
+        find_reduction(from_word(3, [1, 2, 1]), from_word(3, [1]),
+                       level=frozenset({1}))
 
 
 # ---------------------------------------------------------------------------
