@@ -157,14 +157,24 @@ def _per_rank(suite: str, ranks: Iterable[int],
     return out
 
 
+WALK_N_MAX = 10  # the ideal walk is factorial in n; compare it up to here
+
+
 def _suite_oracle(n_max: int, budget: int) -> list[CheckResult]:
     def check(n: int) -> tuple[bool, str]:
         for k, l in sorted(gu.s_admissible(n)):
-            got = gu.classify_by_criterion(n, k, l, budget)
+            got = gu.classify_by_criterion(n, k, l)
             want = gu.classify(n, k, l)
             if got is not want:
                 return False, (f"first counterexample ({k},{l}): closed form "
                                f"{want.value}, criterion {got.value}")
+            if n <= WALK_N_MAX and got is not StratumClass.DL:
+                walk = reduction.is_empty_basic_walk(gu.w_kl(n, k, l), budget)
+                if walk.empty != (got is StratumClass.EMPTY):
+                    return False, (f"first counterexample ({k},{l}): closure "
+                                   f"{got.value}, ideal walk empty={walk.empty}")
+        if n <= WALK_N_MAX:
+            return True, "closed form = criterion = ideal walk on all labels"
         return True, "closed form = criterion on all labels"
     return _per_rank("oracle", range(2, n_max + 1), check)
 
@@ -286,14 +296,10 @@ def element_report(n: int, word: list[int], omega: int, budget: int) -> dict:
     except roots.BudgetExceededError:
         report["lp_size"] = f"not computed (budget {budget} exceeded)"
     if w.is_min_coset_rep() and w.omega() == -2:
-        try:
-            verdict = reduction.is_empty_basic(w, budget)
-        except roots.BudgetExceededError:
-            report["empty"] = f"not decided (budget {budget} exceeded)"
-        else:
-            report["empty"] = verdict.empty
-            if verdict.witness is not None:
-                report["witness"] = str(verdict.witness)
+        verdict = reduction.is_empty_basic(w)
+        report["empty"] = verdict.empty
+        if verdict.witness is not None:
+            report["witness"] = str(verdict.witness)
     else:
         report["empty"] = "not applicable (needs a minimal representative in the base coset)"
     return report

@@ -213,14 +213,13 @@ def classify(n: int, k: int, l: int) -> StratumClass:
     return StratumClass.EMPTY
 
 
-def classify_by_criterion(n: int, k: int, l: int,
-                          budget: int = roots.DEFAULT_BUDGET) -> StratumClass:
+def classify_by_criterion(n: int, k: int, l: int) -> StratumClass:
     """Stratum class recomputed from first definitions: the support test for
-    DL, then the emptiness criterion search.  Oracle for ``classify``."""
+    DL, then the emptiness criterion.  Oracle for ``classify``."""
     w = w_kl(n, k, l)
     if len(roots.supp_sigma(w)) != n:
         return StratumClass.DL
-    verdict = reduction.is_empty_basic(w, budget)
+    verdict = reduction.is_empty_basic(w)
     return StratumClass.EMPTY if verdict.empty else StratumClass.NOT_DL
 
 

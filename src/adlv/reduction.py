@@ -21,15 +21,24 @@ minimal coset representative w = phi^λ·y: the piece is empty iff
     (ii) some r with Inv(r) ⊆ Phi_w has supp_sigma(r·y·sigma(r)⁻¹) a proper
          subset of the finite diagram.
 
-Condition (ii) and positive-Coxeter detection share one search,
-``_find_twisted_conjugate``: it walks the inversion ideal of R(w), forms the
-finite window u = r·z·sigma(r)⁻¹ with z = y·sigma(x) from w = x·phi^λ·y, and
-stops at the first r whose window passes a window-level predicate (proper
-twisted support, or twisted Coxeter).  An equivalent formulation quantified
-over length-positive elements v (testing sigma(v)⁻¹·p(w)·v with element
-arithmetic) is kept alongside as the reference; it walks the same ideal
-lazily and is compared in the test suite.  Both forms return the first
-witness found in the walk's breadth-first-by-length order.
+It decides (ii) by a least-fixpoint closure, ``_tiered_witness``, in O(n)
+seeds times O(n²) steps.  With h(p) = y(n+1-p), (ii) asks for disjoint sets
+T and B with h(T) = B and h(B) = T, T closed upward and B closed downward
+along the positive roots outside Phi_w; the witness is the tiered r that
+gives B the lowest values, T the highest and the rest those between,
+increasing inside each tier.  The closure never runs out of budget.
+
+The oracles walk the inversion ideal of R(w) instead, and so does
+positive-Coxeter detection, through one shared search,
+``_find_twisted_conjugate``: it forms the finite window u = r·z·sigma(r)⁻¹
+with z = y·sigma(x) from w = x·phi^λ·y and stops at the first r whose window
+passes a window-level predicate (proper twisted support, or twisted
+Coxeter).  ``is_empty_basic_walk`` is that walk for (ii);
+``is_empty_basic_v_form`` quantifies over length-positive elements v,
+testing sigma(v)⁻¹·p(w)·v with element arithmetic.  Both return the first
+witness in the walk's breadth-first-by-length order, raise
+BudgetExceededError on an overrun, and are compared with the closure in the
+test suite.
 """
 
 from __future__ import annotations
@@ -37,12 +46,14 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .weyl import (
     WeylElement,
     decompose_xmy,
     simple_ref,
+    _finite_part,
+    _inv,
     _left_mul,
     _mul,
     _right_mul,
@@ -51,6 +62,7 @@ from .weyl import (
 from .roots import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    Root,
     _iter_inv_ideal,
     _proper_twisted_support,
     _sigma_coxeter_window,
@@ -76,6 +88,7 @@ __all__ = [
     "approx_equiv",
     "find_reduction",
     "is_empty_basic",
+    "is_empty_basic_walk",
     "is_empty_basic_v_form",
     "positive_coxeter_generic",
 ]
@@ -357,6 +370,81 @@ class EmptinessVerdict:
     witness: Optional[WeylElement] = None  # finite r, present iff empty
 
 
+def _full_twisted_support(w: WeylElement) -> bool:
+    """Condition (i) for a minimal coset representative; raises for any
+    other element."""
+    if not w.is_min_coset_rep():
+        raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")
+    return len(supp_sigma(w)) == w.n
+
+
+def _tiered_witness(h: Sequence[int], allowed: frozenset[Root]) -> Optional[Window]:
+    """
+    The window of a finite r with Inv(r) ⊆ ``allowed`` whose tiers
+    B = r⁻¹{1..i} and T = r⁻¹{n-i+1..n}, for some i >= 1, satisfy h(T) = B
+    and h(B) = T; None when no r has them.  ``h`` is the window of a
+    permutation of 1..n and ``allowed`` any set of positive roots.
+
+    Each positive root (a, b) outside ``allowed`` is an edge a -> b that r
+    must keep increasing, r(a) < r(b); so T is closed upward and B downward
+    along the edges.  Conversely a disjoint pair (T, B), T closed upward and
+    containing h(B), B closed downward and containing h(T), is a solution:
+    h is injective, so |T| = |B| and both inclusions are equalities, and the
+    tiered r giving B the lowest values, T the highest and the rest those
+    between, increasing with the position inside each tier, keeps every edge
+    increasing.  For a seed t the least such pair with t in T lies inside
+    every solution with t in T, so a solution exists iff some seed's least
+    pair is disjoint.  That pair is the set reachable from "t in T" in the
+    graph on the 2n nodes "p in T", "p in B" with arrows a∈T -> b∈T and
+    b∈B -> a∈B for every edge a -> b, and p∈T -> h(p)∈B, p∈B -> h(p)∈T.
+    A seed whose closure reaches a failed seed fails too.
+    """
+    n = len(h)
+    # bit p - 1 is the node "p in T", bit n + p - 1 the node "p in B"
+    succ = [1 << (n + v - 1) for v in h] + [1 << (v - 1) for v in h]
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            if (a, b) not in allowed:
+                succ[a - 1] |= 1 << (b - 1)
+                succ[n + b - 1] |= 1 << (n + a - 1)
+    failed = 0
+    for t in range(n):
+        reach = frontier = 1 << t
+        # stop once T meets B or holds a failed seed
+        while frontier and not reach & (failed | reach >> n):
+            step = 0
+            while frontier:
+                bit = frontier & -frontier
+                step |= succ[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = step & ~reach
+            reach |= frontier
+        if not frontier:  # the closure is complete and disjoint
+            top, bottom = reach & ((1 << n) - 1), reach >> n
+            # B first, then the rest, then T, each by position: r⁻¹ 0-based
+            by_value = sorted(range(n), key=lambda p: (top >> p & 1) - (bottom >> p & 1))
+            return _inv(tuple(p + 1 for p in by_value))
+        failed |= 1 << t
+    return None
+
+
+def is_empty_basic(w: WeylElement, budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
+    """
+    Decide emptiness for a minimal coset representative (see module
+    docstring).  When empty, the witness is the tiered r of
+    ``_tiered_witness``: Inv(r) ⊆ Phi_w and supp_sigma(r·y·sigma(r)⁻¹) is
+    proper in the finite diagram.  The closure is polynomial and never runs
+    out of budget; ``budget`` is accepted for the signature shared with the
+    oracles and not used.
+    """
+    if not _full_twisted_support(w):
+        return EmptinessVerdict(False)
+    # w = phi^λ·y, so y is the window reduced mod n, z = y and h = z∘c
+    # with c(p) = n + 1 - p is y read backwards
+    r = _tiered_witness(_finite_part(w.window)[::-1], phi_w(w))
+    return EmptinessVerdict(False) if r is None else EmptinessVerdict(True, WeylElement(r))
+
+
 def _find_twisted_conjugate(w: WeylElement, budget: int,
                             pred: Callable[[list[int]], bool]) -> Optional[Window]:
     """
@@ -378,15 +466,16 @@ def _find_twisted_conjugate(w: WeylElement, budget: int,
     return None
 
 
-def is_empty_basic(w: WeylElement, budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
+def is_empty_basic_walk(w: WeylElement,
+                        budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
-    Decide emptiness for a minimal coset representative (see module
-    docstring).  When empty, the returned witness r satisfies Inv(r) ⊆ Phi_w
-    and supp_sigma(r·y·sigma(r)⁻¹) proper in the finite diagram.
+    Oracle for ``is_empty_basic``: condition (ii) decided by walking the
+    ideal Inv(r) ⊆ Phi_w and testing the proper twisted support of every
+    window r·z·sigma(r)⁻¹.  The witness, when present, is the first r in
+    breadth-first-by-length order; overrunning ``budget`` nodes raises
+    BudgetExceededError.
     """
-    if not w.is_min_coset_rep():
-        raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")
-    if len(supp_sigma(w)) != w.n:
+    if not _full_twisted_support(w):
         return EmptinessVerdict(False)
     r = _find_twisted_conjugate(w, budget, _proper_twisted_support)
     return EmptinessVerdict(False) if r is None else EmptinessVerdict(True, WeylElement(r))
@@ -397,14 +486,13 @@ def is_empty_basic_v_form(w: WeylElement,
     """
     The same criterion with condition (ii) quantified over length-positive
     elements v = y⁻¹·r⁻¹, testing sigma(v)⁻¹ · p(w) · v with element-level
-    arithmetic.  Kept as the independent reference for the primary r-form;
-    the witness, when present, is the first v in breadth-first-by-length order.
+    arithmetic.  Kept as the second oracle, independent of the window
+    predicates; the witness, when present, is the first v in
+    breadth-first-by-length order.
     """
-    if not w.is_min_coset_rep():
-        raise NotMinCosetRepError("emptiness criterion needs a minimal coset representative")
-    n = w.n
-    if len(supp_sigma(w)) != n:
+    if not _full_twisted_support(w):
         return EmptinessVerdict(False)
+    n = w.n
     _, _, y = decompose_xmy(w)
     yi = y.inv()
     pw = w.finite_part()

@@ -93,18 +93,11 @@ def inv_set(u: WeylElement) -> frozenset[Root]:
 def phi_w(w: WeylElement) -> frozenset[Root]:
     """The positive roots along which w is length-neutral (see module docstring)."""
     x, lam, y = decompose_xmy(w)
-    xw = x.window
-    yi = _inv(y.window)
-    out = []
-    for i, j in pos_roots(w.n):
-        val = lam.coords[i - 1] - lam.coords[j - 1]
-        if yi[i - 1] > yi[j - 1]:
-            val -= 1
-        if xw[i - 1] > xw[j - 1]:
-            val += 1
-        if val == 0:
-            out.append((i, j))
-    return frozenset(out)
+    xw, c, yi = x.window, lam.coords, _inv(y.window)
+    n = w.n
+    # <α, λ> - δ⁻(y⁻¹α) + δ⁻(xα) = 0 for α = (i+1, j+1)
+    return frozenset([(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
+                      if c[i] - c[j] == (yi[i] > yi[j]) - (xw[i] > xw[j])])
 
 
 def _iter_inv_ideal(n: int, allowed: frozenset[Root],
@@ -200,7 +193,8 @@ def supp_sigma(w: WeylElement) -> frozenset[int]:
     under the twist s_i -> s_{(m-i) mod n}, m the Omega-component of w."""
     u, m = _affine_window(w)
     base = _supp_window(u)
-    return base | {(m - i) % w.n for i in base}
+    n = len(u)
+    return base | {(m - i) % n for i in base}
 
 
 def _proper_twisted_support(u: Sequence[int]) -> bool:

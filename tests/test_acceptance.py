@@ -43,6 +43,7 @@ from adlv.reduction import (
     find_reduction,
     is_empty_basic,
     is_empty_basic_v_form,
+    is_empty_basic_walk,
     positive_coxeter_generic,
     verify_chain,
 )
@@ -72,15 +73,16 @@ def _passed(num, name):
 
 
 def test_criterion_1_oracle_equivalence():
-    """Closed-form classification equals the criterion search, n in [2, 10]."""
-    for n in range(2, 11):
+    """Closed-form classification equals the criterion, n in [2, 20], which
+    covers the figures at n = 13 and 14."""
+    for n in range(2, 21):
         for (k, l) in sorted(s_admissible(n)):
-            got = classify_by_criterion(n, k, l, BUDGET)
+            got = classify_by_criterion(n, k, l)
             want = classify(n, k, l)
             assert got is want, (
                 f"counterexample ({k},{l}) at n={n}: closed form {want.value}, "
                 f"criterion {got.value}")
-    _passed(1, "oracle equivalence n=2..10")
+    _passed(1, "oracle equivalence n=2..20")
 
 
 def test_criterion_2_golden_figures():
@@ -179,9 +181,10 @@ def test_criterion_5_reduction_certificates():
 
 
 def test_criterion_6_emptiness_witnesses():
-    """Every empty label at n in [2, 13] is certified empty with a validated
-    witness; the two forms of the search agree for n <= 9."""
-    for n in range(2, 14):
+    """Every empty label at n in [2, 40] is certified empty with a validated
+    witness; the closure agrees with both forms of the ideal search for
+    n <= 9."""
+    for n in range(2, 41):
         for (k, l) in sorted(s_admissible(n)):
             if classify(n, k, l) is not StratumClass.EMPTY:
                 continue
@@ -198,9 +201,10 @@ def test_criterion_6_emptiness_witnesses():
     for n in range(2, 10):
         for (k, l) in sorted(s_admissible(n)):
             w = w_kl(n, k, l)
-            assert is_empty_basic(w, BUDGET).empty == \
-                is_empty_basic_v_form(w, BUDGET).empty, (n, k, l)
-    _passed(6, "emptiness witnesses n=2..13, dual criterion forms n=2..9")
+            closure = is_empty_basic(w, BUDGET).empty
+            assert closure == is_empty_basic_v_form(w, BUDGET).empty, (n, k, l)
+            assert closure == is_empty_basic_walk(w, BUDGET).empty, (n, k, l)
+    _passed(6, "emptiness witnesses n=2..40, closure = both walks n=2..9")
 
 
 def test_criterion_7_positive_coxeter():

@@ -290,7 +290,8 @@ def test_element_identity(capsys):
 
 def test_element_empty_verdict_with_witness(monkeypatch, capsys):
     # the word of w_{4,10} at n=13: (s_0...s_7)(s_12 s_0 s_1) tau;
-    # its length-positive set dwarfs the budget, but the witness comes early
+    # its length-positive set dwarfs the budget, which the emptiness closure
+    # does not use
     monkeypatch.setenv("ADLV_BFS_BUDGET", "20000")
     word = ",".join(str(i) for i in list(range(0, 8)) + [12, 0, 1])
     code, out, _ = run_cli(capsys, "element", "--n", "13", "--word", word,

@@ -1,6 +1,7 @@
 """Arrows, chains, equal-length classes, and the emptiness criterion."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,12 +19,15 @@ from adlv.reduction import (
     find_reduction,
     is_empty_basic,
     is_empty_basic_v_form,
+    is_empty_basic_walk,
     level_is_stable,
     positive_coxeter_generic,
     verify_chain,
+    _tiered_witness,
 )
 from adlv.roots import inv_set, lp_set, phi_w, supp_sigma
-from adlv.weyl import WeylElement, bruhat_leq, decompose_xmy, from_word, identity, simple_ref
+from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
+                       simple_ref, translation)
 from adlv.gu import StratumClass, classify, s_admissible, tau_element, w_kl, w_prime
 
 from conftest import (
@@ -310,10 +314,12 @@ def test_emptiness_examples():
     # proper twisted support means nonempty regardless of condition (ii)
     verdict = is_empty_basic(w_kl(13, 1, 10))
     assert not verdict.empty and verdict.witness is None
-    # ruling out a witness at large rank needs the whole constrained ideal,
-    # which overruns any sane budget; that must surface as an error
+    # the closure decides a not-DL label at rank 13 without a budget; the
+    # walk oracle needs the whole constrained ideal, which overruns any sane
+    # budget, and that must surface as an error
+    assert not is_empty_basic(w_kl(13, 3, 12)).empty
     with pytest.raises(BudgetExceededError):
-        is_empty_basic(w_kl(13, 3, 12), budget=10**4)
+        is_empty_basic_walk(w_kl(13, 3, 12), budget=10**4)
 
 
 def test_empty_witness_recheck():
@@ -334,7 +340,62 @@ def test_empty_witness_recheck():
 def test_v_form_matches_r_form(n):
     for (k, l) in sorted(s_admissible(n)):
         w = w_kl(n, k, l)
-        assert is_empty_basic(w).empty == is_empty_basic_v_form(w).empty, (n, k, l)
+        closure = is_empty_basic(w).empty
+        assert closure == is_empty_basic_v_form(w).empty, (n, k, l)
+        assert closure == is_empty_basic_walk(w).empty, (n, k, l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weyl_elements(max_n=6, max_len=12))
+def test_closure_matches_walk_on_minimal_representatives(w):
+    # any minimal coset representative phi^λ·y, not only the w_{k,l}
+    _, lam, y = decompose_xmy(w)
+    m = translation(lam) * y
+    verdict = is_empty_basic(m)
+    assert verdict.empty == is_empty_basic_walk(m).empty
+    if verdict.empty:
+        r = verdict.witness
+        assert inv_set(r) <= phi_w(m)
+        assert len(supp_sigma(r * y * r.sigma().inv())) < m.n - 1
+
+
+def _tiers_by_brute_force(h, allowed):
+    """Whether some r in S_n has Inv(r) ⊆ allowed and makes
+    u = r·z·sigma(r)⁻¹, z(p) = h(n+1-p), stabilize {1..i} and {n-i+1..n}
+    for some 1 <= i <= n/2; every r is tried."""
+    n = len(h)
+    forbidden = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if (a, b) not in allowed]
+    return any(_stabilizes_tiers(r, h) for r in itertools.permutations(range(1, n + 1))
+               if all(r[a - 1] < r[b - 1] for a, b in forbidden))
+
+
+def _stabilizes_tiers(r, h):
+    n = len(r)
+    r_inv = [0] * n
+    for p, v in enumerate(r, 1):
+        r_inv[v - 1] = p
+    # sigma(r)⁻¹(p) = n + 1 - r⁻¹(n + 1 - p) and z(q) = h(n + 1 - q)
+    u = [r[h[r_inv[n - p] - 1] - 1] for p in range(1, n + 1)]
+    return any(set(u[:i]) == set(range(1, i + 1))
+               and set(u[n - i:]) == set(range(n - i + 1, n + 1))
+               for i in range(1, n // 2 + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.sets(st.sampled_from([(a, b) for a in range(1, n + 1)
+                             for b in range(a + 1, n + 1)])))))
+def test_tiered_witness_against_brute_force(case):
+    # any permutation h and any allowed set, closed or not
+    h, allowed = tuple(case[0]), frozenset(case[1])
+    r = _tiered_witness(h, allowed)
+    assert (r is not None) == _tiers_by_brute_force(h, allowed)
+    if r is not None:
+        assert sorted(r) == list(range(1, len(h) + 1))
+        assert inv_set(WeylElement(r)) <= allowed
+        assert _stabilizes_tiers(r, h)
 
 
 # ---------------------------------------------------------------------------
