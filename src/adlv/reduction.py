@@ -7,11 +7,14 @@ is admitted when it does not increase length; its kind records whether the
 length is preserved or drops by two.  Chains of arrows are written in
 superscript order: the word (a_k, ..., a_1, a_0) means "apply s_{a_0} first,
 then s_{a_1}, ...", i.e. the input list is consumed right to left.  Equal
-length elements connected by arrows form classes explored by one bounded
-breadth-first search, ``_class_bfs``, which stops at the first arrow a hook
-accepts (``approx_equiv`` looks for the other element, ``find_reduction`` for
-a length drop into the target's class); running out of budget raises (it is
-never reported as "not equivalent").
+length elements connected by arrows form classes explored by one bounded,
+resumable breadth-first walk, ``_class_walk``: a generator that yields every
+admitted arrow leaving a class node, building only those images, and records
+parents at discovery.  ``approx_equiv`` stops at the arrow reaching the other
+element; ``find_reduction`` stops at the first length drop into the target's
+class, advancing the target's own walk only as far as each drop needs.
+Running out of budget raises (it is never reported as "not equivalent" or
+"no reduction").
 
 ``is_empty_basic`` decides emptiness of the basic-locus piece attached to a
 minimal coset representative w = phi^λ·y: the piece is empty iff
@@ -46,7 +49,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .weyl import (
     WeylElement,
@@ -54,9 +57,7 @@ from .weyl import (
     simple_ref,
     _finite_part,
     _inv,
-    _left_mul,
     _mul,
-    _right_mul,
     _sigma,
 )
 from .roots import (
@@ -208,35 +209,38 @@ def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
 # equal-length classes
 # ---------------------------------------------------------------------------
 
-def _conj_delta(win: tuple[int, ...], i: int, n: int) -> tuple[tuple[int, ...], int]:
-    """
-    Window of s_i·w·sigma(s_i) and its length change (-2, 0 or 2): the sum
-    of the changes of the right action by sigma(s_i) = s_{n-i} and then of
-    the left action by s_i.
-    """
-    u, d_r = _right_mul(win, (n - i) % n)
-    new, d_l = _left_mul(u, i)
-    return new, d_r + d_l
-
-
 Window = tuple[int, ...]
 
 
-def _class_bfs(start: Window, n: int, budget: int, letters: list[int] | range,
-               stop: Optional[Callable[[Window, int, Window, int], bool]] = None
-               ) -> tuple[dict[Window, Optional[tuple[Window, int]]],
-                          Optional[tuple[Window, int, Window]]]:
+def _class_walk(start: Window, n: int, budget: int, letters: Sequence[int],
+                parents: dict[Window, Optional[tuple[Window, int]]]
+                ) -> Iterator[tuple[Window, int, Window, int]]:
     """
-    Explore the equal-length class of ``start`` under admitted
-    length-preserving arrows by the given letters.  Returns the parent map
-    (window -> (parent window, letter), None at the root) and the first
-    arrow ``(node, letter, image)`` leaving a class node for which
-    ``stop(node, letter, image, length change)`` holds; the search ends
-    there.  The arrow is None when the class is exhausted first.
+    Breadth-first walk of the equal-length class of ``start`` under
+    length-preserving arrows by the given letters.  Each window is entered
+    in ``parents`` when first discovered (the root maps to None, any other
+    window to its parent and the letter leading to it), and every arrow
+    ``(node, letter, image, length change)`` leaving a class node that does
+    not raise length is yielded right after that bookkeeping, so a consumer
+    may stop at any arrow and resume later.  Visiting more than ``budget``
+    nodes raises BudgetExceededError.
+
+    The arrow by s_i is w -> s_i·w·s_j with j = n - i (mod n): the right
+    action swaps the slots x, y (x = n-1, y = 0 with a shift by n when
+    j = 0) and changes length by -1 iff w(x) - shift > w(y); the left
+    action then moves the values of residues i and i+1 (mod n), at slots p
+    and q, up and down by one and changes length by -1 iff
+    p - u(p) > q - u(q) + 1 on the swapped window u.  The slots of the
+    residues are read once per node, and only an arrow that does not raise
+    length builds its image.
     """
-    parents: dict[Window, Optional[tuple[Window, int]]] = {start: None}
+    # per letter: the residues i and i + 1, the slots x, y and the shift
+    steps = [(0, 1, n - 1, 0, n) if i == 0 else (i, (i + 1) % n, n - i - 1, n - i, 0)
+             for i in letters]
+    parents[start] = None
     queue = deque([start])
     visited = 0
+    pos = [0] * n
     while queue:
         cur = queue.popleft()
         visited += 1
@@ -244,14 +248,28 @@ def _class_bfs(start: Window, n: int, budget: int, letters: list[int] | range,
             raise BudgetExceededError(
                 f"equal-length class search exceeded {budget} nodes "
                 f"at depth {len(_path_letters(parents, cur))}")
-        for i in letters:
-            new, delta = _conj_delta(cur, i, n)
-            if delta == 0 and new not in parents:
-                parents[new] = (cur, i)
-                queue.append(new)
-            if stop is not None and stop(cur, i, new, delta):
-                return parents, (cur, i, new)
-    return parents, None
+        for p, v in enumerate(cur):
+            pos[v % n] = p
+        for i, i1, x, y, shift in steps:
+            ux, uy = cur[y] + shift, cur[x] - shift
+            change = -1 if uy > cur[y] else 1
+            p, q = pos[i], pos[i1]
+            p = y if p == x else x if p == y else p
+            q = y if q == x else x if q == y else q
+            up = ux if p == x else uy if p == y else cur[p]
+            uq = ux if q == x else uy if q == y else cur[q]
+            change += -1 if p - up > q - uq + 1 else 1
+            if change > 0:
+                continue
+            out = list(cur)
+            out[x], out[y] = ux, uy
+            out[p] += 1
+            out[q] -= 1
+            image = tuple(out)
+            if change == 0 and image not in parents:
+                parents[image] = (cur, i)
+                queue.append(image)
+            yield cur, i, image, change
 
 
 def _path_letters(parents, node) -> list[int]:
@@ -273,9 +291,9 @@ def approx_equiv(w: WeylElement, other: WeylElement,
             or w.omega() != other.omega()):
         return False
     goal = other.window
-    parents, _ = _class_bfs(w.window, w.n, budget, range(w.n),
-                            lambda node, i, image, delta: image == goal)
-    return goal in parents
+    return w.window == goal or any(
+        image == goal
+        for _, _, image, _ in _class_walk(w.window, w.n, budget, range(w.n), {}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,6 +337,15 @@ def find_reduction(w: WeylElement, target: WeylElement,
     ℓ(s·w''·sigma(s)) = ℓ(w) - 2.  Returns a full certificate, or None if the
     classes are exhausted without a match.
 
+    The source's class is walked breadth first until the first drop whose
+    image lies in the target's class, and the target's walk is advanced,
+    for each drop, only until that image is discovered or the class is
+    exhausted; the certificate is the one that exhausting the target's
+    class first would give.  ``budget`` bounds the nodes each walk actually
+    visits, so a target class larger than the budget is no obstacle when the
+    image is found early; an overrun raises BudgetExceededError and is never
+    reported as None.
+
     With a ``level`` context the search only walks arrows legal at that level,
     so a returned certificate witnesses the reduction at the corresponding
     parahoric; the source must itself be minimal for the level and keep it
@@ -331,7 +358,7 @@ def find_reduction(w: WeylElement, target: WeylElement,
         raise ValueError("target length must be the source length minus two")
     if target.similitude != w.similitude or target.omega() != w.omega():
         return None
-    letters: list[int] | range = range(n)
+    letters: Sequence[int] = range(n)
     if level is not None:
         if not level_is_stable(w, level):
             raise LevelViolationError(
@@ -340,13 +367,20 @@ def find_reduction(w: WeylElement, target: WeylElement,
             raise LevelViolationError(
                 "source is not minimal in its coset at the supplied level")
         letters = [i for i in range(n) if commutes_with_level(n, i, level)]
-    target_parents, _ = _class_bfs(target.window, n, budget, letters)
-    source_parents, hit = _class_bfs(
-        w.window, n, budget, letters,
-        lambda node, i, image, delta: delta == -2 and image in target_parents)
-    if hit is None:
+    # the target's walk advances only as far as each drop needs
+    target_parents: dict[Window, Optional[tuple[Window, int]]] = {}
+    target_walk = _class_walk(target.window, n, budget, letters, target_parents)
+    source_parents: dict[Window, Optional[tuple[Window, int]]] = {}
+    for pivot, s, dropped, change in _class_walk(w.window, n, budget, letters,
+                                                 source_parents):
+        if change == 0:
+            continue
+        while dropped not in target_parents and next(target_walk, None):
+            pass
+        if dropped in target_parents:
+            break
+    else:
         return None
-    pivot, s, dropped = hit
     sim = w.similitude
     return ReductionCertificate(
         source=w,
@@ -428,14 +462,13 @@ def _tiered_witness(h: Sequence[int], allowed: frozenset[Root]) -> Optional[Wind
     return None
 
 
-def is_empty_basic(w: WeylElement, budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
+def is_empty_basic(w: WeylElement) -> EmptinessVerdict:
     """
     Decide emptiness for a minimal coset representative (see module
     docstring).  When empty, the witness is the tiered r of
     ``_tiered_witness``: Inv(r) ⊆ Phi_w and supp_sigma(r·y·sigma(r)⁻¹) is
-    proper in the finite diagram.  The closure is polynomial and never runs
-    out of budget; ``budget`` is accepted for the signature shared with the
-    oracles and not used.
+    proper in the finite diagram.  The closure is polynomial and takes no
+    budget.
     """
     if not _full_twisted_support(w):
         return EmptinessVerdict(False)

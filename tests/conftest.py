@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -166,6 +167,53 @@ def level_is_stable_oracle(w: WeylElement, level: frozenset[int]) -> bool:
             return False
         image.add(got)
     return image == set(level)
+
+
+def reduction_search_reference(w: WeylElement, target: WeylElement,
+                               level: frozenset[int] | None = None):
+    """
+    The reduction certificate of w onto ``target`` by its definition on
+    elements: exhaust the target's equal-length class breadth first under
+    the arrows x -> s_i·x·sigma(s_i) (letters ascending, parents recorded at
+    discovery), then walk the source's class the same way up to the first
+    arrow that drops length by two into it.  Only letters outside ``level``
+    and commuting with it are used.  Returns (to_pivot, pivot, s, dropped,
+    to_target), both words in superscript order, or None.
+    """
+    n = w.n
+    letters = [i for i in range(n)
+               if level is None or commutes_with_level_oracle(n, i, level)]
+
+    def walk(start, parents):
+        parents[start] = None
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for i in letters:
+                s = simple_ref(n, i)
+                image = s * x * s.sigma()
+                change = image.length() - x.length()
+                if change == 0 and image not in parents:
+                    parents[image] = (x, i)
+                    queue.append(image)
+                yield x, i, image, change
+
+    def path(parents, x):
+        out = []
+        while parents[x] is not None:
+            x, i = parents[x]
+            out.append(i)
+        return out[::-1]
+
+    target_parents: dict = {}
+    for _ in walk(target, target_parents):
+        pass
+    source_parents: dict = {}
+    for x, i, image, change in walk(w, source_parents):
+        if change == -2 and image in target_parents:
+            return (tuple(reversed(path(source_parents, x))), x, i, image,
+                    tuple(path(target_parents, image)))
+    return None
 
 
 def dim_stratum_recursive(n: int, k: int, l: int) -> int:

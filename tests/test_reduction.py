@@ -1,5 +1,6 @@
 """Arrows, chains, equal-length classes, and the emptiness criterion."""
 
+import contextlib
 import dataclasses
 import itertools
 
@@ -23,17 +24,20 @@ from adlv.reduction import (
     level_is_stable,
     positive_coxeter_generic,
     verify_chain,
+    _class_walk,
     _tiered_witness,
 )
 from adlv.roots import inv_set, lp_set, phi_w, supp_sigma
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
-from adlv.gu import StratumClass, classify, s_admissible, tau_element, w_kl, w_prime
+from adlv.gu import (StratumClass, classify, s_admissible, s_closed, tau_element, w_kl,
+                     w_prime)
 
 from conftest import (
     commutes_with_level_oracle,
     level_is_stable_oracle,
     one_letter_per_orbit,
+    reduction_search_reference,
     weyl_elements,
 )
 
@@ -92,16 +96,23 @@ def test_arrow_length_step_is_zero_or_minus_two(w, data):
         assert kind is expected
 
 
-@given(weyl_elements(max_n=9, max_len=10), st.data())
-def test_incremental_conjugation_delta(w, data):
-    # the descent-based step used inside the class searches must agree with
-    # the full window and length recomputation
-    from adlv.reduction import _conj_delta
-    i = data.draw(st.integers(0, w.n - 1))
-    new, delta = _conj_delta(w.window, i, w.n)
-    t = conj_by_simple(w, i)
-    assert new == t.window
-    assert delta == t.length() - w.length()
+@given(weyl_elements(max_n=9, max_len=10))
+def test_incremental_conjugation_delta(w):
+    # the arrows the walk yields out of its root are exactly the letters
+    # whose conjugation does not raise length, each with the image and the
+    # length change of the full element product; budget 1 ends the walk
+    # when it would leave the root
+    arrows, parents = [], {}
+    with contextlib.suppress(BudgetExceededError):
+        arrows.extend(_class_walk(w.window, w.n, 1, range(w.n), parents))
+    expected = []
+    for i in range(w.n):
+        t = conj_by_simple(w, i)
+        if t.length() <= w.length():
+            expected.append((w.window, i, t.window, t.length() - w.length()))
+    assert arrows == expected
+    assert set(parents) == {w.window} | {image for _, _, image, change in arrows
+                                         if change == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +244,35 @@ def test_certificate_verify_rejects_tampering():
         assert dataclasses.replace(cert, **change).verify() is False
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_find_reduction_matches_reference_search(n):
+    # field for field against an element-level search that exhausts the
+    # target's class before it walks the source's
+    for (k, l) in sorted(s_admissible(n)):
+        if classify(n, k, l) is not StratumClass.NOT_DL:
+            continue
+        w, target = w_kl(n, k, l), w_kl(n, *w_prime(n, k, l))
+        for level in (None, s_closed(n, k, l)):
+            cert = find_reduction(w, target, level=level)
+            want = reduction_search_reference(w, target, level)
+            assert want is not None, (n, k, l, level)
+            assert (cert.to_pivot, cert.pivot, cert.s, cert.dropped,
+                    cert.to_target) == want, (n, k, l, level)
+            assert (cert.source, cert.target, cert.level) == (w, target, level)
+
+
+def test_find_reduction_budget_bounds_visited_nodes():
+    # the target class of (11, 6, 10) has 8036 nodes, but the drop into it
+    # is discovered well within 3000 visited nodes of either walk
+    w, target = w_kl(11, 6, 10), w_kl(11, *w_prime(11, 6, 10))
+    cert = find_reduction(w, target, budget=3000)
+    assert cert is not None and cert.verify()
+    # a smaller budget is undecided: an error, never None
+    with pytest.raises(BudgetExceededError,
+                       match=r"^equal-length class search exceeded 1000 nodes"):
+        find_reduction(w, target, budget=1000)
+
+
 def test_find_reduction_rejects_illegal_levels():
     # {3, 4} is not stable under w_{3,8} at n = 9
     with pytest.raises(LevelViolationError, match="not stable"):
@@ -253,7 +293,6 @@ def test_level_guard_predicates():
     assert not commutes_with_level(7, 0, frozenset({1}))
     assert not commutes_with_level(7, 3, frozenset({3, 4}))
     # the stable subset of a stratum representative is, by construction, stable
-    from adlv.gu import s_closed
     w = w_kl(9, 3, 8)
     assert level_is_stable(w, s_closed(9, 3, 8))
     assert not level_is_stable(w, frozenset({1}))
@@ -289,7 +328,6 @@ def test_arrow_with_level_context():
 
 
 def test_find_reduction_at_level():
-    from adlv.gu import s_closed
     n, k, l = 9, 3, 8
     level = s_closed(n, k, l)
     cert = find_reduction(w_kl(n, k, l), w_kl(n, *w_prime(n, k, l)), level=level)
