@@ -5,10 +5,9 @@ Usage: python scripts/export_graphs.py --out-dir out [--n-min 2] [--n-max 14]
 """
 
 import argparse
-import json
 import pathlib
 
-from adlv.cli import classify_dot, classify_json
+from adlv.cli import classify_text
 
 
 def main() -> None:
@@ -21,9 +20,8 @@ def main() -> None:
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for n in range(args.n_min, args.n_max + 1):
-        (out / f"strata_n{n}.dot").write_text(classify_dot(n))
-        (out / f"strata_n{n}.json").write_text(
-            json.dumps(classify_json(n), indent=2) + "\n")
+        for fmt in ("dot", "json"):
+            (out / f"strata_n{n}.{fmt}").write_text(classify_text(n, fmt))
         print(f"n={n}: wrote strata_n{n}.dot and strata_n{n}.json")
 
 

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from . import gu, reduction, roots
 from .gu import StratumClass, StratumLabel
@@ -119,17 +119,19 @@ def classify_dot(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def classify_text(n: int, fmt: str) -> str:
+    """The exact text ``adlv classify --n n --format fmt`` writes."""
+    if fmt == "dot":
+        return classify_dot(n)
+    text = json.dumps(classify_json(n), indent=2) if fmt == "json" else classify_table(n)
+    return text + "\n"
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
-    n = args.n
-    if n < 2:
-        print(f"n must be at least 2, got {n}", file=sys.stderr)
+    if args.n < 2:
+        print(f"n must be at least 2, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
-    if args.format == "json":
-        print(json.dumps(classify_json(n), indent=2))
-    elif args.format == "dot":
-        sys.stdout.write(classify_dot(n))
-    else:
-        print(classify_table(n))
+    sys.stdout.write(classify_text(args.n, args.format))
     return 0
 
 
@@ -278,23 +280,27 @@ def _parse_word(raw: str, n: int) -> list[int]:
     return out
 
 
-def element_report(n: int, word: list[int], omega: int, budget: int) -> dict:
-    sim = -1 if omega == -2 else 0
-    w = from_word(n, word, omega=omega, similitude=sim)
-    report: dict = {
-        "window": str(w),
-        "length": w.length(),
-        "omega": w.omega(),
-        "supp_sigma": sorted(roots.supp_sigma(w)),
-        "s_w_sigma": sorted(roots.s_w_sigma(w)),
-        "phi_w_size": len(roots.phi_w(w)),
-    }
-    try:
+def _report(n: int, word: list[int], omega: int, budget: int,
+            fields: Collection[str]) -> dict:
+    """Compute only the report fields named in ``fields``."""
+    w = from_word(n, word, omega=omega, similitude=-1 if omega == -2 else 0)
+    getters: dict[str, Callable[[], object]] = {
+        "window": lambda: str(w), "length": w.length, "omega": w.omega,
+        "supp_sigma": lambda: sorted(roots.supp_sigma(w)),
+        "s_w_sigma": lambda: sorted(roots.s_w_sigma(w)),
+        "phi_w_size": lambda: len(roots.phi_w(w)),
         # |LP(w)| = |R(w)|, the size of the inversion ideal under Phi_w
-        report["lp_size"] = sum(
-            1 for _ in roots._iter_inv_ideal(w.n, roots.phi_w(w), budget))
-    except roots.BudgetExceededError:
-        report["lp_size"] = f"not computed (budget {budget} exceeded)"
+        "lp_size": lambda: sum(
+            1 for _ in roots._iter_inv_ideal(w.n, roots.phi_w(w), budget)),
+    }
+    report: dict = {}
+    for key in (key for key in getters if key in fields):
+        try:
+            report[key] = getters[key]()
+        except roots.BudgetExceededError:
+            report[key] = f"not computed (budget {budget} exceeded)"
+    if "empty" not in fields and "witness" not in fields:
+        return report
     if w.is_min_coset_rep() and w.omega() == -2:
         verdict = reduction.is_empty_basic(w)
         report["empty"] = verdict.empty
@@ -303,6 +309,10 @@ def element_report(n: int, word: list[int], omega: int, budget: int) -> dict:
     else:
         report["empty"] = "not applicable (needs a minimal representative in the base coset)"
     return report
+
+
+def element_report(n: int, word: list[int], omega: int, budget: int) -> dict:
+    return _report(n, word, omega, budget, REPORT_FIELDS)
 
 
 def cmd_element(args: argparse.Namespace) -> int:
@@ -321,7 +331,7 @@ def cmd_element(args: argparse.Namespace) -> int:
         print(f"unknown report fields: {', '.join(unknown)}; "
               f"valid fields: {', '.join(REPORT_FIELDS)}", file=sys.stderr)
         return USAGE_ERROR
-    report = element_report(args.n, word, args.omega, _budget())
+    report = _report(args.n, word, args.omega, _budget(), fields)
     for key, value in report.items():
         if key in fields:
             print(f"{key}: {value}")

@@ -41,6 +41,7 @@ from .weyl import (
     WeylElement,
     Cocharacter,
     bruhat_leq,
+    from_word,
     simple_ref,
     tau1,
     translation,
@@ -148,29 +149,11 @@ def s_admissible(n: int) -> frozenset[StratumLabel]:
                      for k in range(1, n) for l in range(k + 1, n + 1))
 
 
-def _lower_interval(w: WeylElement,
-                    cache: dict[WeylElement, frozenset[WeylElement]]
-                    ) -> frozenset[WeylElement]:
-    cached = cache.get(w)
-    if cached is not None:
-        return cached
-    descents = w.left_descents()
-    if not descents:
-        out = frozenset({w})
-    else:
-        i = min(descents)
-        s = simple_ref(w.n, i)
-        below = _lower_interval(s * w, cache)
-        out = below | frozenset(s * v for v in below)
-    cache[w] = out
-    return out
-
-
 def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     """
     Recompute the admissible labels from first definitions: enumerate all
-    elements below some phi^{uμ} in Bruhat order (by descent recursion on
-    lower intervals), keep the minimal coset representatives, and match them
+    elements below some phi^{uμ} in Bruhat order (subword products of a
+    reduced word), keep the minimal coset representatives, and match them
     against the w_{k,l}.  Guarded to n <= 7; the closed form s_admissible is
     the production answer.
     """
@@ -180,10 +163,14 @@ def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     sim = mu(n).similitude
     tops = {translation(Cocharacter(perm, sim))
             for perm in set(itertools.permutations(muc))}
-    cache: dict[WeylElement, frozenset[WeylElement]] = {}
     admissible: set[WeylElement] = set()
     for t in tops:
-        admissible |= _lower_interval(t, cache)
+        word, m = t.reduced_word()
+        below = {from_word(n, (), omega=m, similitude=sim)}
+        for a in reversed(word):
+            s = simple_ref(n, a)
+            below |= {s * v for v in below}
+        admissible |= below
     reps = {w for w in admissible if w.is_min_coset_rep()}
     by_element = {w_kl(n, k, l): StratumLabel(k, l)
                   for k, l in s_admissible(n)}

@@ -212,7 +212,7 @@ def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
 Window = tuple[int, ...]
 
 
-def _class_walk(start: Window, n: int, budget: int, letters: Sequence[int],
+def _class_walk(start: Window, budget: int, letters: Sequence[int],
                 parents: dict[Window, Optional[tuple[Window, int]]]
                 ) -> Iterator[tuple[Window, int, Window, int]]:
     """
@@ -234,6 +234,7 @@ def _class_walk(start: Window, n: int, budget: int, letters: Sequence[int],
     residues are read once per node, and only an arrow that does not raise
     length builds its image.
     """
+    n = len(start)
     # per letter: the residues i and i + 1, the slots x, y and the shift
     steps = [(0, 1, n - 1, 0, n) if i == 0 else (i, (i + 1) % n, n - i - 1, n - i, 0)
              for i in letters]
@@ -293,7 +294,7 @@ def approx_equiv(w: WeylElement, other: WeylElement,
     goal = other.window
     return w.window == goal or any(
         image == goal
-        for _, _, image, _ in _class_walk(w.window, w.n, budget, range(w.n), {}))
+        for _, _, image, _ in _class_walk(w.window, budget, range(w.n), {}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,9 +370,9 @@ def find_reduction(w: WeylElement, target: WeylElement,
         letters = [i for i in range(n) if commutes_with_level(n, i, level)]
     # the target's walk advances only as far as each drop needs
     target_parents: dict[Window, Optional[tuple[Window, int]]] = {}
-    target_walk = _class_walk(target.window, n, budget, letters, target_parents)
+    target_walk = _class_walk(target.window, budget, letters, target_parents)
     source_parents: dict[Window, Optional[tuple[Window, int]]] = {}
-    for pivot, s, dropped, change in _class_walk(w.window, n, budget, letters,
+    for pivot, s, dropped, change in _class_walk(w.window, budget, letters,
                                                  source_parents):
         if change == 0:
             continue

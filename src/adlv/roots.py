@@ -46,7 +46,7 @@ from typing import Iterator, Optional, Sequence
 from .weyl import (
     WeylElement,
     decompose_xmy,
-    _eval,
+    _affine_window,
     _inv,
     _length,
     _mul,
@@ -160,14 +160,6 @@ def lp_set(w: WeylElement, budget: int = DEFAULT_BUDGET) -> frozenset[WeylElemen
 # supports
 # ---------------------------------------------------------------------------
 
-def _affine_window(w: WeylElement) -> tuple[tuple[int, ...], int]:
-    """The window of the affine part w·tau1^{-m} and the Omega-component m."""
-    m = w.omega()
-    if m == 0:
-        return w.window, 0
-    return tuple(_eval(w.window, p - m) for p in range(1, w.n + 1)), m
-
-
 def _supp_window(u: Sequence[int]) -> frozenset[int]:
     """
     supp(u) for the window u of an Omega-0 element.  s_i (0 <= i < n) is
@@ -185,13 +177,13 @@ def _supp_window(u: Sequence[int]) -> frozenset[int]:
 def supp(w: WeylElement) -> frozenset[int]:
     """Letters occurring in a (any) reduced word of the affine part
     w·tau1^{-m}, m the Omega-component of w."""
-    return _supp_window(_affine_window(w)[0])
+    return _supp_window(_affine_window(w.window)[0])
 
 
 def supp_sigma(w: WeylElement) -> frozenset[int]:
     """Smallest subset of the affine diagram containing supp(w) and stable
     under the twist s_i -> s_{(m-i) mod n}, m the Omega-component of w."""
-    u, m = _affine_window(w)
+    u, m = _affine_window(w.window)
     base = _supp_window(u)
     n = len(u)
     return base | {(m - i) % n for i in base}
@@ -276,7 +268,7 @@ def is_sigma_coxeter(w: WeylElement) -> bool:
     """Whether every letter of supp(w) occurs once in a reduced word of the
     affine part (ℓ(w) = |supp(w)|) and no two letters of supp(w) are swapped
     by the twist s_i -> s_{(m-i) mod n}, m the Omega-component."""
-    return _sigma_coxeter_window(*_affine_window(w))
+    return _sigma_coxeter_window(*_affine_window(w.window))
 
 
 def is_sigma_coxeter_finite(u: WeylElement) -> bool:

@@ -26,16 +26,16 @@ translation by i -> -λ_{n+1-i}.
 
 Length is Shi's pairwise formula sum_{1 <= i < j <= n} |floor((f(j) - f(i))/n)|;
 the classical double-sum formula over positive roots is kept in the test
-suite as an independent oracle.  Each simple-reflection action, s_i·w
-(`_left_mul`) and w·s_i (`_right_mul`), returns the product window together
-with its length change ±1, so no caller tests a descent of its own.
+suite as an independent oracle.  `_left_mul` returns the window of s_i·w with
+its length change ±1; reduced words and the Bruhat order peel the smallest
+left descent (`_left_descents` reads them all off w⁻¹), one product a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "WeylElement",
@@ -106,20 +106,31 @@ def _left_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), -1 if p - window[p] > q - window[q] + 1 else 1
 
 
-def _right_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
-    """
-    Window of w ∘ s_i and ℓ(w s_i) − ℓ(w): swaps the positions i and i+1
-    (periodically); s_i is a descent iff w(i) > w(i+1), with w(0) = w(n) − n.
-    """
+def _left_descents(window: tuple[int, ...]) -> frozenset[int]:
+    """All i in 0..n-1 with ℓ(s_i w) < ℓ(w), i.e. w⁻¹(i) > w⁻¹(i+1)."""
+    inv = _inv(window)
+    before = (inv[-1] - len(inv), *inv)  # w⁻¹(0), ..., w⁻¹(n-1)
+    return frozenset(i for i, (a, b) in enumerate(zip(before, inv)) if a > b)
+
+
+def _descent_letters(window: tuple[int, ...]) -> Iterator[int]:
+    """A reduced word of w, left to right: peel the smallest left descent."""
+    for _ in range(_length(window)):
+        i = min(_left_descents(window))
+        window = _left_mul(window, i)[0]
+        yield i
+
+
+def _affine_window(window: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The window of the affine part w·tau1^{-m}, p -> w(p - m), and the
+    Omega-component m; with -m = q·n + r it is w's window rotated by r."""
     n = len(window)
-    out = list(window)
-    if i == 0:
-        a, b = window[n - 1] - n, window[0]
-        out[0], out[n - 1] = a, b + n
-    else:
-        a, b = window[i - 1], window[i]
-        out[i - 1], out[i] = b, a
-    return tuple(out), -1 if a > b else 1
+    m = (sum(window) - n * (n + 1) // 2) // n
+    if m == 0:
+        return window, 0
+    q, r = divmod(-m, n)
+    return tuple([v + q * n for v in window[r:]] +
+                 [v + q * n + n for v in window[:r]]), m
 
 
 def _finite_part(window: tuple[int, ...]) -> tuple[int, ...]:
@@ -183,13 +194,12 @@ class WeylElement:
 
     def omega(self) -> int:
         """Power of tau1 spanning the length-zero coset of the window part."""
-        n = self.n
-        return (sum(self.window) - n * (n + 1) // 2) // n
+        return _affine_window(self.window)[1]
 
     def affine_part(self) -> tuple["WeylElement", int]:
         """Split off the Omega-part: returns (w · tau1^{-m}, m), first factor in W_a."""
-        m = self.omega()
-        return self * omega_shift(self.n, -m), m
+        window, m = _affine_window(self.window)
+        return WeylElement(window, self.similitude), m
 
     def is_finite(self) -> bool:
         """Whether the window is a permutation of 1..n (zero translation
@@ -202,9 +212,7 @@ class WeylElement:
 
     def left_descents(self) -> frozenset[int]:
         """All i in 0..n-1 with ℓ(s_i w) < ℓ(w)."""
-        inv = _inv(self.window)
-        return frozenset(i for i in range(self.n)
-                         if _eval(inv, i) > _eval(inv, i + 1))
+        return _left_descents(self.window)
 
     def reduced_word(self) -> tuple[tuple[int, ...], int]:
         """
@@ -212,21 +220,7 @@ class WeylElement:
         w = s_{a_1} ... s_{a_r} · tau1^m and r = ℓ(w).  Deterministic
         (smallest descent first).
         """
-        word: list[int] = []
-        cur = self.window
-        for _ in range(_length(cur)):
-            for i in range(len(cur)):
-                nxt, delta = _left_mul(cur, i)
-                if delta < 0:
-                    word.append(i)
-                    cur = nxt
-                    break
-            else:
-                raise AssertionError("positive length but no descent")
-        m = self.omega()
-        if cur != omega_shift(self.n, m).window:
-            raise AssertionError("descent chain did not land on the Omega-part")
-        return tuple(word), m
+        return tuple(_descent_letters(self.window)), self.omega()
 
     def is_min_coset_rep(self) -> bool:
         """Whether ℓ(s_i w) > ℓ(w) for every finite i (minimal in W_0 w)."""
@@ -314,20 +308,6 @@ def from_word(n: int, word: Iterable[int], omega: int = 0,
 # Bruhat order
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 18)
-def _bruhat_windows(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
-    if u == w:
-        return True
-    if _length(u) >= _length(w):
-        return False
-    for i in range(len(w)):
-        sw, dw = _left_mul(w, i)
-        if dw < 0:
-            su, du = _left_mul(u, i)
-            return _bruhat_windows(su if du < 0 else u, sw)
-    raise AssertionError("positive length but no descent")
-
-
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """
     Bruhat order on the extended group.  Elements in different length-zero
@@ -337,7 +317,21 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         raise ValueError("rank mismatch")
     if u.similitude != w.similitude or u.omega() != w.omega():
         return False
-    return _bruhat_windows(u.window, w.window)
+    # lifting property: for a descent s of w, u <= w iff min(u, su) <= sw,
+    # which fails once ℓ(min(u, su)) > ℓ(sw); at length zero only u = w is left
+    uw = u.window
+    slack = _length(w.window) - _length(uw)
+    if slack < 0:
+        return False
+    for i in _descent_letters(w.window):
+        su, du = _left_mul(uw, i)
+        if du < 0:
+            uw = su
+        elif slack == 0:
+            return False
+        else:
+            slack -= 1
+    return True
 
 
 # ---------------------------------------------------------------------------

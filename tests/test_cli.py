@@ -3,6 +3,9 @@
 import hashlib
 import json
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +153,20 @@ def test_classify_output_is_byte_stable(fmt):
     for n in range(2, 41):
         digest.update((render(n) + "\n").encode())
     assert digest.hexdigest() == _CLASSIFY_DIGESTS[fmt]
+
+
+def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):
+    # the script and `adlv classify` write through one function
+    script = Path(__file__).resolve().parents[1] / "scripts" / "export_graphs.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path),
+                                      "--n-min", "2", "--n-max", "6"])
+    runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+    for n in range(2, 7):
+        for fmt in ("dot", "json"):
+            code, out, _ = run_cli(capsys, "classify", "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert (tmp_path / f"strata_n{n}.{fmt}").read_bytes() == out.encode()
 
 
 def test_classify_classifies_each_label_once(monkeypatch):
@@ -324,6 +341,18 @@ def test_element_lp_size_budget_overrun(monkeypatch, capsys):
     assert report["lp_size"] == "not computed (budget 1000 exceeded)"
 
 
+def test_element_show_computes_only_the_fields_shown(monkeypatch, capsys):
+    # at n = 40 the ideal walk behind lp_size would take seconds and
+    # gigabytes; --show length must not start it
+    def no_walk(*args):
+        raise AssertionError("inversion ideal walked for an unshown field")
+    monkeypatch.setattr(roots, "_iter_inv_ideal", no_walk)
+    code, out, _ = run_cli(capsys, "element", "--n", "40",
+                           "--word", ",".join(map(str, range(21))),
+                           "--omega", "-2", "--show", "length")
+    assert code == 0 and out == "length: 21\n"
+
+
 def test_element_show_filter(capsys):
     code, out, _ = run_cli(capsys, "element", "--n", "5", "--word", "2",
                            "--show", "length,omega")
@@ -363,6 +392,7 @@ def test_element_out_of_range_omega(capsys, monkeypatch):
     def no_report(*args):
         raise AssertionError("report computed for a rejected element")
     monkeypatch.setattr(cli, "element_report", no_report)
+    monkeypatch.setattr(cli, "_report", no_report)
     for omega in ("3000000000", "-3000000000", str((1 << 31) - 5)):
         code, out, err = run_cli(capsys, "element", "--n", "5", "--word", "0",
                                  "--omega", omega)

@@ -104,7 +104,7 @@ def test_incremental_conjugation_delta(w):
     # when it would leave the root
     arrows, parents = [], {}
     with contextlib.suppress(BudgetExceededError):
-        arrows.extend(_class_walk(w.window, w.n, 1, range(w.n), parents))
+        arrows.extend(_class_walk(w.window, 1, range(w.n), parents))
     expected = []
     for i in range(w.n):
         t = conj_by_simple(w, i)
