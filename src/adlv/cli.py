@@ -11,12 +11,13 @@ undecided because its bounded search ran out of budget (printed as
 ``[budget] <check>: undecided (...)``).  ADLV_BFS_BUDGET overrides the node
 budget of the bounded searches.  ``--n-max`` caps the rank of every verify
 suite but ``figures``, which always checks the figures at n = 13 and 14.
+``classify --format json`` fills one fixed template per stratum; its bytes are
+those of ``json.dumps(..., indent=2)``, and the tests pin them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Collection, Iterable, Optional
@@ -51,49 +52,53 @@ def _budget() -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def _label_json(lab: Optional[StratumLabel]) -> Optional[dict]:
-    return None if lab is None else {"k": lab.k, "l": lab.l}
+_FIELDS = ("k", "l", "class", "length", "dim", "target", "rank", "base",
+           "parahoric", "supp_sigma", "s_w_sigma", "positive_coxeter")
+# one stratum laid out as json.dumps(..., indent=2) lays it out in "strata"
+_STRATUM = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _FIELDS)
 
 
-def classify_json(n: int) -> dict:
-    """One template for every label, read off its closed-form record."""
-    strata = [{
-        "k": rec.label.k, "l": rec.label.l, "class": rec.stratum_class.value,
-        "length": rec.length, "dim": rec.dim,
-        "target": _label_json(rec.target), "rank": rec.rank,
-        "base": _label_json(rec.base),
-        "parahoric": None if rec.parahoric is None else sorted(rec.parahoric),
-        "supp_sigma": sorted(rec.supp_sigma), "s_w_sigma": sorted(rec.s_w_sigma),
-        "positive_coxeter": rec.positive_coxeter,
-    } for rec in gu.stratum_records(n)]
-    return {"schema": 1, "n": n, "strata": strata}
+def _json_label(lab: Optional[StratumLabel]) -> str:
+    return "null" if lab is None else '{\n        "k": %d,\n        "l": %d\n      }' % lab
+
+
+def classify_json(n: int) -> str:
+    """The JSON text of every label's closed-form record, one template per
+    stratum; byte for byte what ``json.dumps(..., indent=2)`` writes."""
+    sets: dict[Optional[frozenset[int]], str] = {None: "null", frozenset(): "[]"}
+
+    def ints(s: Optional[frozenset[int]]) -> str:
+        if s not in sets:
+            sets[s] = "[\n        " + ",\n        ".join(map(str, sorted(s))) + "\n      ]"
+        return sets[s]
+
+    strata = [_STRATUM % (
+        rec.label.k, rec.label.l, f'"{rec.stratum_class.value}"', rec.length,
+        "null" if rec.dim is None else rec.dim, _json_label(rec.target),
+        "null" if rec.rank is None else rec.rank, _json_label(rec.base),
+        ints(rec.parahoric), ints(rec.supp_sigma), ints(rec.s_w_sigma),
+        "true" if rec.positive_coxeter else "false",
+    ) for rec in gu.stratum_records(n)]
+    return '{\n  "schema": 1,\n  "n": %d,\n  "strata": [\n%s\n  ]\n}' % (n, ",\n".join(strata))
 
 
 def _fmt_set(s: Optional[Iterable[int]]) -> str:
     return "-" if s is None else "{" + ",".join(map(str, sorted(s))) + "}"
 
 
-def _fmt_label(lab: Optional[dict]) -> str:
-    return "-" if lab is None else f"({lab['k']},{lab['l']})"
+def _fmt_label(lab: Optional[StratumLabel]) -> str:
+    return "-" if lab is None else f"({lab.k},{lab.l})"
 
 
 def classify_table(n: int) -> str:
-    data = classify_json(n)
     header = ["(k,l)", "class", "len", "dim", "target", "rank", "base",
               "parahoric", "pos_cox"]
-    rows = [header]
-    for s in data["strata"]:
-        rows.append([
-            f"({s['k']},{s['l']})",
-            s["class"],
-            str(s["length"]),
-            "-" if s["dim"] is None else str(s["dim"]),
-            _fmt_label(s["target"]),
-            "-" if s["rank"] is None else str(s["rank"]),
-            _fmt_label(s["base"]),
-            _fmt_set(s["parahoric"]),
-            "yes" if s["positive_coxeter"] else "no",
-        ])
+    rows = [header] + [[
+        _fmt_label(rec.label), rec.stratum_class.value, str(rec.length),
+        "-" if rec.dim is None else str(rec.dim), _fmt_label(rec.target),
+        "-" if rec.rank is None else str(rec.rank), _fmt_label(rec.base),
+        _fmt_set(rec.parahoric), "yes" if rec.positive_coxeter else "no",
+    ] for rec in gu.stratum_records(n)]
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -104,7 +109,7 @@ def classify_dot(n: int) -> str:
     """Fibration digraph; one rank row per dimension, arrows to the target."""
     g = gu.stratum_graph(n)
     lines = ["digraph strata {", "  node [shape=box];"]
-    for rec in sorted(g.records, key=lambda r: r.label):
+    for rec in g.records:
         k, l = rec.label
         lines.append(f'  "w_{k}_{l}" [label="w_{{{k},{l}}}"];')
     by_dim: dict[int, list[StratumLabel]] = {}
@@ -123,8 +128,7 @@ def classify_text(n: int, fmt: str) -> str:
     """The exact text ``adlv classify --n n --format fmt`` writes."""
     if fmt == "dot":
         return classify_dot(n)
-    text = json.dumps(classify_json(n), indent=2) if fmt == "json" else classify_table(n)
-    return text + "\n"
+    return (classify_json(n) if fmt == "json" else classify_table(n)) + "\n"
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

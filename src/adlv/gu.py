@@ -35,7 +35,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .weyl import (
     WeylElement,
@@ -143,10 +143,14 @@ def tau_element(n: int) -> WeylElement:
     return w_kl(n, 1, 2)
 
 
+def _labels(n: int) -> Iterator[StratumLabel]:
+    """All stratum labels (k, l), 1 <= k < l <= n, in (k, l) order."""
+    return (StratumLabel(k, l) for k in range(1, n) for l in range(k + 1, n + 1))
+
+
 def s_admissible(n: int) -> frozenset[StratumLabel]:
     """All stratum labels (k, l), 1 <= k < l <= n."""
-    return frozenset(StratumLabel(k, l)
-                     for k in range(1, n) for l in range(k + 1, n + 1))
+    return frozenset(_labels(n))
 
 
 def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
@@ -328,8 +332,7 @@ def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    return [_build_record(n, k, l, classify(n, k, l))
-            for k, l in sorted(s_admissible(n))]
+    return [_build_record(n, k, l, classify(n, k, l)) for k, l in _labels(n)]
 
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
@@ -434,7 +437,7 @@ def stratum_graph(n: int) -> StratumGraph:
     (records in label order, so the arrows come out sorted)."""
     if n < 2:
         raise ValueError("rank must be at least 2")
-    records = tuple(_build_record(n, k, l, cls) for k, l in sorted(s_admissible(n))
+    records = tuple(_build_record(n, k, l, cls) for k, l in _labels(n)
                     if (cls := classify(n, k, l)) is not StratumClass.EMPTY)
     edges = tuple((rec.label, rec.target) for rec in records
                   if rec.target is not None)

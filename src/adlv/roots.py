@@ -107,7 +107,8 @@ def _iter_inv_ideal(n: int, allowed: frozenset[Root],
     once, in breadth-first (length) order from the identity.  A node pushes
     only the children it is the canonical parent of: the ascent s_i·r has
     smallest left descent i iff i <= d(r)+1 and r⁻¹(i-1) < r⁻¹(i+1).
-    Overrunning ``budget`` nodes raises, naming the length reached.
+    Nodes count against ``budget`` when discovered, so the queue holds at most
+    ``budget`` windows; an overrun raises, naming the length of its node.
     """
     # flat lookup: ok[p * (n + 1) + q] iff the root (p, q) may become an inversion
     ok = bytearray((n + 1) * (n + 1))
@@ -118,13 +119,9 @@ def _iter_inv_ideal(n: int, allowed: frozenset[Root],
     queue = deque([(ident, ident, n)])
     pop = queue.popleft
     push = queue.append
-    visited = 0
+    found = 1  # nodes discovered, the identity included
     while queue:
         win, pos, d = pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(f"inversion-ideal search exceeded {budget} "
-                                      f"nodes at length {_length(win)}")
         yield win, pos
         prev = 0  # r⁻¹(i-1), and 0 below i = 1
         for i in range(1, min(d + 2, n)):
@@ -133,6 +130,10 @@ def _iter_inv_ideal(n: int, allowed: frozenset[Root],
             # s_i · r adds the inversion (r⁻¹(i), r⁻¹(i+1)); grow only if it is
             # positive and allowed, and i is the child's smallest left descent
             if p < q and prev < q and ok[p * (n + 1) + q]:
+                found += 1
+                if found > budget:
+                    raise BudgetExceededError(f"inversion-ideal search exceeded "
+                                              f"{budget} nodes at length {_length(win) + 1}")
                 new = list(win)
                 new[p - 1] = i + 1
                 new[q - 1] = i

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from adlv import gu
+from adlv import cli, gu
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -54,3 +54,19 @@ def test_every_request_passes_its_check(name, golden):
     failed = [req for req in requests
               if not workload.check(req, workload.execute(req), golden)]
     assert failed == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_classify_calls_its_traced_renderer_once(monkeypatch, capsys, fmt):
+    # cli.classify_json.calls and cli.classify_dot.calls count requests only
+    # while each `adlv classify` goes through its renderer exactly once
+    calls = {"classify_json": 0, "classify_dot": 0}
+    for name, real in [(name, getattr(cli, name)) for name in calls]:
+        def counting(n, name=name, real=real):
+            calls[name] += 1
+            return real(n)
+        monkeypatch.setattr(cli, name, counting)
+    assert cli.main(["classify", "--n", "7", "--format", fmt]) == 0
+    assert capsys.readouterr().out.startswith("{" if fmt == "json" else "digraph")
+    assert calls == {"classify_json": int(fmt == "json"),
+                     "classify_dot": int(fmt == "dot")}

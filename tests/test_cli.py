@@ -48,8 +48,9 @@ def test_classify_json_n5(capsys):
 def test_classify_json_roundtrip():
     # parse(emit(x)) reproduces every record field, n <= 14
     for n in range(2, 15):
-        data = json.loads(json.dumps(cli.classify_json(n)))
-        assert data == cli.classify_json(n)
+        text = cli.classify_json(n)
+        data = json.loads(text)
+        assert json.dumps(data, indent=2) == text
         for s in data["strata"]:
             k, l = s["k"], s["l"]
             cls = classify(n, k, l)
@@ -72,8 +73,8 @@ def test_classify_json_roundtrip():
 
 def test_classify_json_deterministic():
     for n in (5, 13):
-        a = json.dumps(cli.classify_json(n))
-        b = json.dumps(cli.classify_json(n))
+        a = cli.classify_json(n)
+        b = cli.classify_json(n)
         assert a == b
 
 
@@ -127,8 +128,10 @@ def test_classify_stays_closed_form(monkeypatch):
     monkeypatch.setattr(roots, "supp_sigma", forbidden)
     monkeypatch.setattr(roots, "s_w_sigma", forbidden)
     monkeypatch.setattr(gu, "w_kl", forbidden)
+    # and the JSON is written from its template, not encoded
+    monkeypatch.setattr(json, "dumps", forbidden)
     for n in range(2, 21):
-        assert cli.classify_json(n)["n"] == n
+        assert json.loads(cli.classify_json(n))["n"] == n
         assert cli.classify_dot(n).startswith("digraph strata {")
         assert cli.classify_table(n).startswith("(k,l)")
 
@@ -145,7 +148,7 @@ _CLASSIFY_DIGESTS = {
 @pytest.mark.parametrize("fmt", sorted(_CLASSIFY_DIGESTS))
 def test_classify_output_is_byte_stable(fmt):
     render = {
-        "json": lambda n: json.dumps(cli.classify_json(n), indent=2),
+        "json": lambda n: cli.classify_text(n, "json")[:-1],
         "dot": cli.classify_dot,
         "table": cli.classify_table,
     }[fmt]
@@ -153,6 +156,35 @@ def test_classify_output_is_byte_stable(fmt):
     for n in range(2, 41):
         digest.update((render(n) + "\n").encode())
     assert digest.hexdigest() == _CLASSIFY_DIGESTS[fmt]
+
+
+def _reference_json(n):
+    # the schema-1 dict; `adlv classify --format json` must write exactly
+    # its json.dumps(indent=2) bytes
+    def label(lab):
+        return None if lab is None else {"k": lab.k, "l": lab.l}
+    return {"schema": 1, "n": n, "strata": [{
+        "k": rec.label.k, "l": rec.label.l, "class": rec.stratum_class.value,
+        "length": rec.length, "dim": rec.dim,
+        "target": label(rec.target), "rank": rec.rank,
+        "base": label(rec.base),
+        "parahoric": None if rec.parahoric is None else sorted(rec.parahoric),
+        "supp_sigma": sorted(rec.supp_sigma), "s_w_sigma": sorted(rec.s_w_sigma),
+        "positive_coxeter": rec.positive_coxeter,
+    } for rec in gu.stratum_records(n)]}
+
+
+def test_classify_json_matches_json_dumps_reference():
+    for n in range(2, 61):
+        assert cli.classify_text(n, "json") == json.dumps(_reference_json(n), indent=2) + "\n"
+
+
+def test_classify_json_n200_is_pinned():
+    # sha256 and size of the json.dumps(indent=2) bytes of the n = 200 dict
+    data = cli.classify_text(200, "json").encode()
+    assert len(data) == 92_338_777
+    assert hashlib.sha256(data).hexdigest() == (
+        "b931309846ea0f0b0bd54b382454ca7334c04cd3ab7d2eade4d820c56088a819")
 
 
 def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):

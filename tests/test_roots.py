@@ -197,6 +197,25 @@ def test_ideal_walk_keeps_no_visited_set():
     assert peak < 3 * 2**20, peak
 
 
+def test_ideal_walk_queue_is_bounded_by_budget():
+    # nodes count against the budget when discovered: an overrun holds at
+    # most `budget` queued windows, each two 12-tuples and a 3-tuple (about
+    # 340 bytes)
+    n, budget = 12, 5000
+    w = from_word(n, list(range(n // 2 + 1)), omega=-2, similitude=-1)
+    allowed = phi_w(w)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match=f"^inversion-ideal search exceeded {budget} nodes"):
+            for _ in _iter_inv_ideal(n, allowed, budget):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * budget, peak
+
+
 # ---------------------------------------------------------------------------
 # supports
 # ---------------------------------------------------------------------------
