@@ -9,8 +9,10 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 no failure but some verify check
 undecided because its bounded search ran out of budget (printed as
 ``[budget] <check>: undecided (...)``).  ADLV_BFS_BUDGET overrides the node
-budget of the bounded searches.  ``--n-max`` caps the rank of every verify
-suite but ``figures``, which always checks the figures at n = 13 and 14.
+budget of the bounded searches.  Without ``--n-max`` the verify suites check
+oracle n = 2..8, closedforms n = 2..14, reduction n = 5..8 (after its chain
+convention) and figures n = 13, 14.  ``--n-max`` caps every suite but
+``figures``; a suite whose first rank lies above it checks none of its ranks.
 ``classify --format json`` fills one fixed template per stratum; its bytes are
 those of ``json.dumps(..., indent=2)``, and the tests pin them.
 """
@@ -29,7 +31,6 @@ from .weyl import from_word
 USAGE_ERROR = 2
 UNDECIDED = 3  # a verify check ran out of search budget
 
-SUITES = ("oracle", "closedforms", "reduction", "figures", "all")
 REPORT_FIELDS = ("window", "length", "omega", "supp_sigma", "s_w_sigma",
                  "phi_w_size", "lp_size", "empty", "witness")
 
@@ -144,110 +145,103 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 CheckResult = tuple[str, Optional[bool], str]  # ok is None: undecided
-
-
-def _per_rank(suite: str, ranks: Iterable[int],
-              check: Callable[[int], tuple[bool, str]]) -> list[CheckResult]:
-    """Run ``check`` rank by rank up to the first failure; a rank whose
-    bounded search runs out of budget is reported undecided."""
-    out: list[CheckResult] = []
-    for n in ranks:
-        try:
-            ok, detail = check(n)
-        except roots.BudgetExceededError as exc:
-            out.append((f"{suite} n={n}", None, f"undecided ({exc})"))
-            continue
-        out.append((f"{suite} n={n}", ok, detail))
-        if not ok:
-            break
-    return out
-
+Check = Callable[[int, int], tuple[bool, str]]  # (n, budget) -> (ok, detail)
 
 WALK_N_MAX = 10  # the ideal walk is factorial in n; compare it up to here
 
 
-def _suite_oracle(n_max: int, budget: int) -> list[CheckResult]:
-    def check(n: int) -> tuple[bool, str]:
-        for k, l in sorted(gu.s_admissible(n)):
-            got = gu.classify_by_criterion(n, k, l)
-            want = gu.classify(n, k, l)
-            if got is not want:
-                return False, (f"first counterexample ({k},{l}): closed form "
-                               f"{want.value}, criterion {got.value}")
-            if n <= WALK_N_MAX and got is not StratumClass.DL:
-                walk = reduction.is_empty_basic_walk(gu.w_kl(n, k, l), budget)
-                if walk.empty != (got is StratumClass.EMPTY):
-                    return False, (f"first counterexample ({k},{l}): closure "
-                                   f"{got.value}, ideal walk empty={walk.empty}")
-        if n <= WALK_N_MAX:
-            return True, "closed form = criterion = ideal walk on all labels"
-        return True, "closed form = criterion on all labels"
-    return _per_rank("oracle", range(2, n_max + 1), check)
+def _check_oracle(n: int, budget: int) -> tuple[bool, str]:
+    for rec in gu.stratum_records(n):
+        got, want = gu.classify_by_criterion(n, *rec.label), rec.stratum_class
+        if got is not want:
+            return False, (f"first counterexample {_fmt_label(rec.label)}: "
+                           f"closed form {want.value}, criterion {got.value}")
+        if n <= WALK_N_MAX and got is not StratumClass.DL:
+            walk = reduction.is_empty_basic_walk(gu.w_kl(n, *rec.label), budget)
+            if walk.empty != (got is StratumClass.EMPTY):
+                return False, (f"first counterexample {_fmt_label(rec.label)}: closure "
+                               f"{got.value}, ideal walk empty={walk.empty}")
+    if n <= WALK_N_MAX:
+        return True, "closed form = criterion = ideal walk on all labels"
+    return True, "closed form = criterion on all labels"
 
 
-def _suite_closedforms(n_max: int, budget: int) -> list[CheckResult]:
-    def check(n: int) -> tuple[bool, str]:
-        for k, l in sorted(gu.s_admissible(n)):
-            w = gu.w_kl(n, k, l)
-            if w.length() != k + l - 3:
-                return False, f"length of ({k},{l}) is {w.length()}, not {k + l - 3}"
-            if roots.supp_sigma(w) != gu.supp_sigma_closed(n, k, l):
-                return False, f"twisted support mismatch at ({k},{l})"
-            if roots.s_w_sigma(w) != gu.s_closed(n, k, l):
-                return False, f"stable-subset mismatch at ({k},{l})"
-        if gu.dim_basic_locus(n) != n - 2 or gu.irr_orbit_count(n) != n // 2:
-            return False, "dimension/component count"
-        return True, "lengths, supports, stable subsets, dimensions"
-    return _per_rank("closedforms", range(2, n_max + 1), check)
+def _check_closedforms(n: int, budget: int) -> tuple[bool, str]:
+    records = gu.stratum_records(n)
+    for rec in records:
+        w = gu.w_kl(n, *rec.label)
+        if w.length() != rec.length:
+            return False, (f"length of {_fmt_label(rec.label)} is {w.length()}, "
+                           f"not {rec.length}")
+        if roots.supp_sigma(w) != rec.supp_sigma:
+            return False, f"twisted support mismatch at {_fmt_label(rec.label)}"
+        if roots.s_w_sigma(w) != rec.s_w_sigma:
+            return False, f"stable-subset mismatch at {_fmt_label(rec.label)}"
+    dims = [rec.dim for rec in records if rec.dim is not None]
+    if max(dims) != n - 2 or dims.count(max(dims)) != n // 2:
+        return False, "dimension/component count"
+    return True, "lengths, supports, stable subsets, dimensions"
 
 
-def _suite_reduction(n_max: int, budget: int) -> list[CheckResult]:
-    chain = reduction.verify_chain(
-        gu.w_kl(5, 1, 5), (3, 0, 1),
-        from_word(5, [1], omega=-2, similitude=-1))
-    out: list[CheckResult] = [("reduction chain convention", bool(chain),
-                               "superscript word s3 s0 s1 at n=5")]
-    if not chain:
-        return out
-
-    def check(n: int) -> tuple[bool, str]:
-        labels = [lab for lab in sorted(gu.s_admissible(n))
-                  if gu.classify(n, *lab) is StratumClass.NOT_DL]
-        for k, l in labels:
-            w, target = gu.w_kl(n, k, l), gu.w_kl(n, *gu.w_prime(n, k, l))
-            cert = reduction.find_reduction(w, target, budget)
-            if cert is None or not cert.verify():
-                return False, f"no verified certificate for ({k},{l})"
-            leveled = reduction.find_reduction(w, target, budget,
-                                               level=gu.s_closed(n, k, l))
-            if leveled is None or not leveled.verify():
-                return False, f"no level-certified reduction for ({k},{l})"
-        return True, (f"{len(labels)} certificates found and re-verified, "
-                      "plain and at the stratum level")
-    return out + _per_rank("reduction", range(5, n_max + 1), check)
+def _check_reduction(n: int, budget: int) -> tuple[bool, str]:
+    records = [rec for rec in gu.stratum_records(n)
+               if rec.stratum_class is StratumClass.NOT_DL]
+    for rec in records:
+        w, target = gu.w_kl(n, *rec.label), gu.w_kl(n, *rec.target)
+        cert = reduction.find_reduction(w, target, budget)
+        if cert is None or not cert.verify():
+            return False, f"no verified certificate for {_fmt_label(rec.label)}"
+        leveled = reduction.find_reduction(w, target, budget, level=rec.s_w_sigma)
+        if leveled is None or not leveled.verify():
+            return False, f"no level-certified reduction for {_fmt_label(rec.label)}"
+    return True, (f"{len(records)} certificates found and re-verified, "
+                  "plain and at the stratum level")
 
 
-def _suite_figures(n_max: int, budget: int) -> list[CheckResult]:
-    def check(n: int) -> tuple[bool, str]:
-        if gu.graph_summary(gu.stratum_graph(n)) == gu.load_golden_summary(n):
-            return True, "node and edge sets match the transcription"
-        return False, "computed graph differs from the golden transcription"
-    return _per_rank("figures", (13, 14), check)
+def _check_figures(n: int, budget: int) -> tuple[bool, str]:
+    if gu.graph_summary(gu.stratum_graph(n)) == gu.load_golden_summary(n):
+        return True, "node and edge sets match the transcription"
+    return False, "computed graph differs from the golden transcription"
+
+
+def _upto(first: int, default_max: int) -> Callable[[Optional[int]], range]:
+    return lambda n_max: range(first, (default_max if n_max is None else n_max) + 1)
+
+
+# suite -> (its ranks under --n-max, None when not given; its check of a rank),
+# run in this order by --suite all
+_SUITES: dict[str, tuple[Callable[[Optional[int]], Iterable[int]], Check]] = {
+    "oracle": (_upto(2, 8), _check_oracle),
+    "closedforms": (_upto(2, 14), _check_closedforms),
+    "reduction": (_upto(5, 8), _check_reduction),
+    "figures": (lambda n_max: (13, 14), _check_figures),
+}
+SUITES = (*_SUITES, "all")
 
 
 def _run_suites(suite: str, n_max: Optional[int], budget: int) -> list[CheckResult]:
-    defaults = {"oracle": 8, "closedforms": 14, "reduction": 8, "figures": 14}
-    runners: dict[str, Callable[[int, int], list[CheckResult]]] = {
-        "oracle": _suite_oracle,
-        "closedforms": _suite_closedforms,
-        "reduction": _suite_reduction,
-        "figures": _suite_figures,
-    }
-    names = list(runners) if suite == "all" else [suite]
+    """Each suite's ranks in order, up to its first failure; a rank whose
+    bounded search runs out of budget is reported undecided.  The reduction
+    suite first checks the chain convention its certificates rely on."""
     results: list[CheckResult] = []
-    for name in names:
-        results.extend(runners[name](defaults[name] if n_max is None else n_max,
-                                     budget))
+    for name in _SUITES if suite == "all" else (suite,):
+        if name == "reduction":
+            chain = bool(reduction.verify_chain(
+                gu.w_kl(5, 1, 5), (3, 0, 1), from_word(5, [1], omega=-2, similitude=-1)))
+            results.append(("reduction chain convention", chain,
+                            "superscript word s3 s0 s1 at n=5"))
+            if not chain:
+                continue
+        ranks, check = _SUITES[name]
+        for n in ranks(n_max):
+            try:
+                ok, detail = check(n, budget)
+            except roots.BudgetExceededError as exc:
+                results.append((f"{name} n={n}", None, f"undecided ({exc})"))
+                continue
+            results.append((f"{name} n={n}", ok, detail))
+            if not ok:
+                break
     return results
 
 

@@ -83,7 +83,6 @@ __all__ = [
     "EmptinessVerdict",
     "arrow",
     "commutes_with_level",
-    "conj_by_simple",
     "level_is_stable",
     "verify_chain",
     "approx_equiv",

@@ -55,16 +55,10 @@ from .weyl import (
 __all__ = [
     "Root",
     "pos_roots",
-    "inv_set",
     "phi_w",
-    "r_set",
-    "lp_set",
     "supp",
     "supp_sigma",
     "s_w_sigma",
-    "is_sigma_coxeter",
-    "is_sigma_coxeter_finite",
-    "tau_sigma_orbits",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
 ]

@@ -201,6 +201,18 @@ def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):
             assert (tmp_path / f"strata_n{n}.{fmt}").read_bytes() == out.encode()
 
 
+def test_stratification_report_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "stratification_report.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n-min", "2", "--n-max", "8"])
+    runpy.run_path(str(script), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == list(range(2, 9))
+    for row in rows:
+        n, labels, dl, not_dl, empty, dim, orbits = map(int, row[:7])
+        assert labels == dl + not_dl + empty == n * (n - 1) // 2
+        assert (dim, orbits) == (n - 2, n // 2)
+
+
 def test_classify_classifies_each_label_once(monkeypatch):
     # one classification per label in the graph, the DOT and the JSON
     calls = []
@@ -293,15 +305,64 @@ def test_verify_rejects_n_max_below_two(capsys, n_max):
 
 
 def test_verify_reports_failure(monkeypatch, capsys):
-    # force a failing check through the suite registry to pin the exit code;
+    # inject a check through the suite table to pin the exit code: an overrun
+    # at one rank, a failure at the next, and nothing run after the failure;
     # a failure outranks an undecided check
-    def fake(n_max, budget):
-        return [("overrun", None, "undecided (injected)"),
-                ("forced", False, "injected counterexample (3,4)")]
-    monkeypatch.setitem(cli.__dict__, "_suite_oracle", fake)
+    def fake(n, budget):
+        if n == 3:
+            raise roots.BudgetExceededError("injected overrun")
+        return False, "injected counterexample (3,4)"
+    monkeypatch.setitem(cli._SUITES, "oracle", (lambda n_max: (3, 4, 5), fake))
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
     assert code == 1
-    assert "[FAIL] forced" in out and "[budget] overrun" in out
+    assert out.count("[FAIL]") == 1 and out.count("[budget]") == 1
+    assert "[budget] oracle n=3: undecided (injected overrun)" in out
+    assert "[FAIL] oracle n=4: injected counterexample (3,4)" in out
+    assert "n=5" not in out
+
+
+def _verify_names(capsys, *argv):
+    code, out, _ = run_cli(capsys, "verify", "--suite", *argv)
+    return code, [line.split(":")[0] for line in out.splitlines()]
+
+
+def test_verify_all_runs_every_suite_at_its_ranks(capsys):
+    def ok(suite, ranks):
+        return [f"[ok] {suite} n={n}" for n in ranks]
+    chain = ["[ok] reduction chain convention"]
+    figures = ok("figures", (13, 14))
+    assert _verify_names(capsys, "all") == (0, [
+        *ok("oracle", range(2, 9)), *ok("closedforms", range(2, 15)), *chain,
+        *ok("reduction", range(5, 9)), *figures])
+    # --n-max caps every suite but figures
+    assert _verify_names(capsys, "all", "--n-max", "5") == (0, [
+        *ok("oracle", range(2, 6)), *ok("closedforms", range(2, 6)), *chain,
+        *ok("reduction", (5,)), *figures])
+    # below the reduction suite's first rank only its chain convention runs
+    assert _verify_names(capsys, "reduction", "--n-max", "4") == (0, chain)
+
+
+def test_verify_reads_one_record_pass_per_rank(monkeypatch, capsys):
+    # the checks read the records classify serves: one classification per
+    # label and rank, and none of the per-label accessors
+    calls = []
+    real = gu.classify
+
+    def counting(n, k, l):
+        calls.append((n, k, l))
+        return real(n, k, l)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("verify called a per-label accessor")
+
+    monkeypatch.setattr(gu, "classify", counting)
+    for name in ("w_prime", "s_admissible"):
+        monkeypatch.setattr(gu, name, banned)
+    for suite, first in (("oracle", 2), ("closedforms", 2), ("reduction", 5)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "7")
+        assert code == 0
+        assert len(calls) == sum(n * (n - 1) // 2 for n in range(first, 8)), suite
 
 
 def test_verify_budget_overrun_is_undecided(monkeypatch, capsys):
