@@ -110,16 +110,15 @@ def classify_dot(n: int) -> str:
     """Fibration digraph; one rank row per dimension, arrows to the target."""
     g = gu.stratum_graph(n)
     lines = ["digraph strata {", "  node [shape=box];"]
+    by_dim: dict[int, list[StratumLabel]] = {}
     for rec in g.records:
         k, l = rec.label
         lines.append(f'  "w_{k}_{l}" [label="w_{{{k},{l}}}"];')
-    by_dim: dict[int, list[StratumLabel]] = {}
-    for rec in g.records:
         by_dim.setdefault(rec.dim, []).append(rec.label)
     for dim in sorted(by_dim):
-        ids = " ".join(f'"w_{k}_{l}";' for k, l in sorted(by_dim[dim]))
+        ids = " ".join(f'"w_{k}_{l}";' for k, l in by_dim[dim])
         lines.append(f"  {{ rank=same; {ids} }}")
-    for (k, l), (k2, l2) in sorted(g.edges):
+    for (k, l), (k2, l2) in g.edges:
         lines.append(f'  "w_{k}_{l}" -> "w_{k2}_{l2}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -188,12 +187,14 @@ def _check_reduction(n: int, budget: int) -> tuple[bool, str]:
                if rec.stratum_class is StratumClass.NOT_DL]
     for rec in records:
         w, target = gu.w_kl(n, *rec.label), gu.w_kl(n, *rec.target)
-        cert = reduction.find_reduction(w, target, budget)
-        if cert is None or not cert.verify():
-            return False, f"no verified certificate for {_fmt_label(rec.label)}"
-        leveled = reduction.find_reduction(w, target, budget, level=rec.s_w_sigma)
-        if leveled is None or not leveled.verify():
-            return False, f"no level-certified reduction for {_fmt_label(rec.label)}"
+        for level, what in ((None, "verified certificate"),
+                            (rec.s_w_sigma, "level-certified reduction")):
+            try:  # a wrong closed form can break find_reduction's preconditions
+                cert = reduction.find_reduction(w, target, budget, level=level)
+            except ValueError as exc:
+                return False, f"no {what} for {_fmt_label(rec.label)}: {exc}"
+            if cert is None or not cert.verify():
+                return False, f"no {what} for {_fmt_label(rec.label)}"
     return True, (f"{len(records)} certificates found and re-verified, "
                   "plain and at the stratum level")
 

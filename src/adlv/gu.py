@@ -15,13 +15,13 @@ order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
 
-The closed forms of a label live in one place: ``_build_record`` branches
-once on the class (and once on the not-DL sub-case) and fills a whole
-``StratumRecord``, for empty labels too, where only the class-free supports
-and stable set (``supp_sigma_closed``, ``s_closed``) are defined.  The other
-per-field helpers (``w_prime``, ``dim_stratum``, ...) classify once and read
-one field of that record, raising NotApplicableError where it is undefined;
-``stratum_records`` builds every record with one classification per label.
+The closed forms of a label live in one place: ``_build_record`` branches on
+the class and the not-DL sub-case (never on the parity of n) and fills a
+whole ``StratumRecord``, for empty labels too, where only the class-free
+supports and stable set (``supp_sigma_closed``, ``s_closed``) are defined.
+The other per-field helpers (``w_prime``, ``dim_stratum``, ...) classify once
+and read one field of that record, raising NotApplicableError where it is
+undefined; ``stratum_records`` builds every record, one classify per label.
 
 Dimension bookkeeping: a DL stratum has dimension equal to its length; a
 not-DL stratum fibers over its target with one-dimensional fibers, so its
@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, NamedTuple, Optional
 
@@ -163,27 +163,22 @@ def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     """
     if n > 7:
         raise ValueError("brute-force admissible-set enumeration is limited to n <= 7")
-    muc = mu(n).coords
     sim = mu(n).similitude
-    tops = {translation(Cocharacter(perm, sim))
-            for perm in set(itertools.permutations(muc))}
+    tops = [translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
+            for pair in itertools.combinations(range(n), 2)]  # W·μ: two -1 slots
     admissible: set[WeylElement] = set()
     for t in tops:
         word, m = t.reduced_word()
         below = {from_word(n, (), omega=m, similitude=sim)}
-        for a in reversed(word):
-            s = simple_ref(n, a)
+        for s in (simple_ref(n, a) for a in reversed(word)):
             below |= {s * v for v in below}
         admissible |= below
     reps = {w for w in admissible if w.is_min_coset_rep()}
-    by_element = {w_kl(n, k, l): StratumLabel(k, l)
-                  for k, l in s_admissible(n)}
-    labels = set()
-    for w in reps:
-        if w not in by_element:
-            raise AssertionError(f"unexpected minimal admissible element {w}")
-        labels.add(by_element[w])
-    return frozenset(labels)
+    by_element = {w_kl(n, *lab): lab for lab in _labels(n)}
+    unexpected = reps - by_element.keys()
+    if unexpected:
+        raise AssertionError(f"unexpected minimal admissible elements {unexpected}")
+    return frozenset(by_element[w] for w in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +191,9 @@ def classify(n: int, k: int, l: int) -> StratumClass:
     _check_label(n, k, l)
     if k == 1 or 2 * l <= n + 2:
         return StratumClass.DL
-    if 3 <= k and 2 * k < n + 2 and 2 * l > n + 2 and l <= n - 1:
-        if k % 2 == 1 and k + l <= n + 2:
-            return StratumClass.NOT_DL
-        if (l - (n - 1)) % 2 == 0 and k + l >= n + 3:
-            return StratumClass.NOT_DL
+    if 3 <= k and 2 * k < n + 2 and l <= n - 1 and (
+            k % 2 == 1 if k + l <= n + 2 else (n - 1 - l) % 2 == 0):
+        return StratumClass.NOT_DL
     return StratumClass.EMPTY
 
 
@@ -235,21 +228,21 @@ class StratumRecord:
 
 
 def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
-    """Closed form of the twisted support of w_{k,l}, on every label (empty
-    labels have k >= 2 and take the k >= 2 branch): the letters i and n-2-i
-    for i < l-2, plus n-1 when k >= 2."""
+    """Closed form of the twisted support of w_{k,l}, on every label: the
+    letters i and n-2-i for i < l-2, plus n-1 when k >= 2.
+
+    >>> sorted(supp_sigma_closed(7, 1, 6))  # 2l > n+2: the two runs meet
+    [0, 1, 2, 3, 4, 5]
+    """
     _check_label(n, k, l)
-    if k == 1 and 2 * l > n + 2:
-        return frozenset(range(n - 1))
-    out = frozenset(range(l - 2)) | frozenset(range(n - l + 1, n - 1))
-    return out | {n - 1} if k >= 2 else out
+    return frozenset(range(l - 2)).union(range(n - l + 1, n - (k == 1)))
 
 
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
     simple reflections, on every label (``roots.s_w_sigma`` is its oracle).
     In half-open intervals it is [lo, hi) = [l-1, n-l) when 2l <= n+2, else
-    [k, n-k) (2k <= n) or [n-k+2, k-1) (2k > n) clipped to [n-l+2, l-2).
+    [k, n-k) clipped to [n-l+2, l-2) (2k <= n) or [n-k+2, k-1) (2k > n).
     When l = k+1 with lo odd and 2k != n+1, the odd letters below lo-1 and
     the letters n-1, n-3, ... above hi join it.
 
@@ -259,9 +252,10 @@ def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     _check_label(n, k, l)
     if 2 * l <= n + 2:
         lo, hi = l - 1, n - l
+    elif 2 * k <= n:
+        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
     else:
-        lo, hi = (k, n - k) if 2 * k <= n else (n - k + 2, k - 1)
-        lo, hi = max(lo, n - l + 2), min(hi, l - 2)
+        lo, hi = n - k + 2, k - 1
     out = frozenset(range(lo, hi))
     if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
         out |= frozenset(range(1, lo - 1, 2)) | frozenset(range(n - 1, hi, -2))
@@ -297,10 +291,7 @@ def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
             letters |= {k - 2}
         dim = base.l - 2 + rank
         parahoric = frozenset(range(1, n))
-        if n % 2 == 1:
-            positive_coxeter = 2 * k == n + 1 or 2 * l == n + 3
-        else:
-            positive_coxeter = 2 * k == n or 2 * l == n + 4
+        positive_coxeter = k == (n + 1) // 2 or l == (n + 4) // 2
     return StratumRecord(StratumLabel(k, l), cls, k + l - 3, dim, target, rank,
                          base, supp, stable, parahoric, letters,
                          positive_coxeter)
@@ -316,10 +307,7 @@ def _record(n: int, k: int, l: int, allowed: frozenset[StratumClass],
     the class is not ``allowed`` (``what`` names the datum asked for)."""
     cls = classify(n, k, l)
     if cls not in allowed:
-        if StratumClass.DL in allowed:
-            raise NotApplicableError(f"{what} is undefined on the empty stratum ({k},{l})")
-        raise NotApplicableError(
-            f"{what} is defined for not_dl labels; ({k},{l}) at n={n} is {cls.value}")
+        raise NotApplicableError(f"{what} is undefined on the {cls.value} label ({k},{l})")
     return _build_record(n, k, l, cls)
 
 
@@ -372,7 +360,12 @@ def dim_stratum(n: int, k: int, l: int) -> int:
 
 
 def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
-    """Closed form of positive-Coxeter detection on non-DL labels."""
+    """Closed form of positive-Coxeter detection on non-DL labels.
+
+    >>> [positive_coxeter_closed(n, k, l) for n, k, l in  # k, k, l, l, neither
+    ...  [(13, 7, 10), (12, 6, 9), (13, 3, 8), (12, 3, 8), (13, 3, 12)]]
+    [True, True, True, True, False]
+    """
     return _record(n, k, l, _NOT_DL, "positive-Coxeter detection").positive_coxeter
 
 
@@ -421,15 +414,13 @@ class StratumGraph:
     n: int
     records: tuple[StratumRecord, ...]
     edges: tuple[tuple[StratumLabel, StratumLabel], ...]
-    _index: dict[StratumLabel, StratumRecord] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {rec.label: rec for rec in self.records})
 
     def record(self, k: int, l: int) -> StratumRecord:
-        if (k, l) not in self._index:
-            raise KeyError(f"({k},{l}) is not a nonempty stratum here")
-        return self._index[k, l]
+        """The record of the nonempty label (k, l), found by a scan."""
+        for rec in self.records:
+            if rec.label == (k, l):
+                return rec
+        raise KeyError(f"({k},{l}) is not a nonempty stratum here")
 
 
 def stratum_graph(n: int) -> StratumGraph:
@@ -439,8 +430,7 @@ def stratum_graph(n: int) -> StratumGraph:
         raise ValueError("rank must be at least 2")
     records = tuple(_build_record(n, k, l, cls) for k, l in _labels(n)
                     if (cls := classify(n, k, l)) is not StratumClass.EMPTY)
-    edges = tuple((rec.label, rec.target) for rec in records
-                  if rec.target is not None)
+    edges = tuple((rec.label, rec.target) for rec in records if rec.target is not None)
     return StratumGraph(n, records, edges)
 
 
@@ -463,9 +453,8 @@ def graph_summary(g: StratumGraph) -> dict:
     """Node/edge summary in the canonical shape used by the golden fixtures."""
     return {
         "n": g.n,
-        "nodes": [list(rec.label) for rec in
-                  sorted(g.records, key=lambda r: r.label)],
-        "edges": [[list(a), list(b)] for a, b in sorted(g.edges)],
+        "nodes": [list(rec.label) for rec in g.records],
+        "edges": [[list(a), list(b)] for a, b in g.edges],
     }
 
 

@@ -284,6 +284,20 @@ def test_verify_closedforms_reports_wrong_stable_set(monkeypatch, capsys):
     assert "[FAIL] closedforms n=2: stable-subset mismatch" in out
 
 
+def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
+    # a level the source does not keep stable makes find_reduction raise;
+    # the suite reports it as a failure at that rank, not as a traceback
+    real = gu.s_closed
+    monkeypatch.setattr(gu, "s_closed", lambda n, k, l: (
+        frozenset({0}) if (n, k, l) == (7, 4, 6) else real(n, k, l)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--n-max", "9")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and fails[0].startswith("[FAIL] reduction n=7: ")
+    assert "(4,6)" in fails[0] and "not stable" in fails[0]
+    assert "n=8" not in out and "n=9" not in out
+
+
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_verify_rejects_invalid_budget(monkeypatch, capsys, raw):
     monkeypatch.setenv("ADLV_BFS_BUDGET", raw)

@@ -340,6 +340,11 @@ def test_stratum_records_cover_every_label():
                         rec.j_set, rec.positive_coxeter) == (None,) * 6 + (False,)
             else:
                 assert rec == stratum_record(n, k, l)
+        # the graph's consumers (graph_summary, classify_dot) rely on its order
+        graph = stratum_graph(n)
+        assert graph.records == tuple(rec for rec in records
+                                      if rec.stratum_class is not StratumClass.EMPTY)
+        assert graph.edges == tuple(sorted(graph.edges))
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])
