@@ -31,17 +31,15 @@ along the positive roots outside Phi_w; the witness is the tiered r that
 gives B the lowest values, T the highest and the rest those between,
 increasing inside each tier.  The closure never runs out of budget.
 
-The oracles walk the inversion ideal of R(w) instead, and so does
-positive-Coxeter detection, through one shared search,
-``_find_twisted_conjugate``: it forms the finite window u = r·z·sigma(r)⁻¹
-with z = y·sigma(x) from w = x·phi^λ·y and stops at the first r whose window
-passes a window-level predicate (proper twisted support, or twisted
-Coxeter).  ``is_empty_basic_walk`` is that walk for (ii);
-``is_empty_basic_v_form`` quantifies over length-positive elements v,
-testing sigma(v)⁻¹·p(w)·v with element arithmetic.  Both return the first
-witness in the walk's breadth-first-by-length order, raise
-BudgetExceededError on an overrun, and are compared with the closure in the
-test suite.
+The oracles walk the inversion ideal of R(w) instead.  ``is_empty_basic_walk``
+and positive-Coxeter detection share ``_find_twisted_conjugate``: it forms the
+finite window u = r·z·sigma(r)⁻¹ with z = y·sigma(x) from w = x·phi^λ·y and
+stops at the first r whose window passes a window-level predicate (proper
+twisted support, or twisted Coxeter).  ``is_empty_basic_v_form`` walks the
+ideal itself and forms sigma(v)⁻¹·p(w)·v for length-positive v = y⁻¹·r⁻¹ with
+window arithmetic of its own, sharing neither that search nor its predicates.
+Both return the first witness in breadth-first-by-length order, raise
+BudgetExceededError on an overrun, and are compared with the closure in tests.
 """
 
 from __future__ import annotations
@@ -67,6 +65,7 @@ from .roots import (
     _iter_inv_ideal,
     _proper_twisted_support,
     _sigma_coxeter_window,
+    _supp_sigma_window,
     _twisted_images,
     phi_w,
     supp_sigma,
@@ -518,22 +517,21 @@ def is_empty_basic_v_form(w: WeylElement,
                           budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
     The same criterion with condition (ii) quantified over length-positive
-    elements v = y⁻¹·r⁻¹, testing sigma(v)⁻¹ · p(w) · v with element-level
-    arithmetic.  Kept as the second oracle, independent of the window
-    predicates; the witness, when present, is the first v in
-    breadth-first-by-length order.
+    elements v = y⁻¹·r⁻¹, testing the finite sigma(v)⁻¹·p(w)·v with window
+    arithmetic independent of ``_find_twisted_conjugate`` and
+    ``_proper_twisted_support``; the witness, when present, is the first v.
     """
     if not _full_twisted_support(w):
         return EmptinessVerdict(False)
     n = w.n
     _, _, y = decompose_xmy(w)
-    yi = y.inv()
-    pw = w.finite_part()
+    yi = _inv(y.window)
+    pw = _finite_part(w.window)
     for _, pos in _iter_inv_ideal(n, phi_w(w), budget):
-        v = yi * WeylElement(pos)
-        u = v.sigma().inv() * pw * v
-        if len(supp_sigma(u)) < n - 1:
-            return EmptinessVerdict(True, v)
+        v = _mul(yi, pos)
+        u = _mul(_mul(_inv(_sigma(v)), pw), v)
+        if len(_supp_sigma_window(u, 0)) < n - 1:
+            return EmptinessVerdict(True, WeylElement(v, -y.similitude))
     return EmptinessVerdict(False)
 
 

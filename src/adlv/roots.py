@@ -175,13 +175,16 @@ def supp(w: WeylElement) -> frozenset[int]:
     return _supp_window(_affine_window(w.window)[0])
 
 
+def _supp_sigma_window(u: Sequence[int], m: int) -> frozenset[int]:
+    """supp(u), u an Omega-0 window, closed under s_i -> s_{(m-i) mod n}."""
+    base = _supp_window(u)
+    return base | {(m - i) % len(u) for i in base}
+
+
 def supp_sigma(w: WeylElement) -> frozenset[int]:
     """Smallest subset of the affine diagram containing supp(w) and stable
     under the twist s_i -> s_{(m-i) mod n}, m the Omega-component of w."""
-    u, m = _affine_window(w.window)
-    base = _supp_window(u)
-    n = len(u)
-    return base | {(m - i) % n for i in base}
+    return _supp_sigma_window(*_affine_window(w.window))
 
 
 def _proper_twisted_support(u: Sequence[int]) -> bool:

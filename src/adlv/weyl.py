@@ -57,16 +57,15 @@ _WINDOW_BOUND = 1 << 31  # defensive overflow guard for window entries
 # window-level helpers (tuples of ints, 1-based values at 0-based slots)
 # ---------------------------------------------------------------------------
 
-def _eval(window: tuple[int, ...], x: int) -> int:
-    """Value of the extended affine permutation at any integer x."""
-    n = len(window)
-    q, r = divmod(x - 1, n)
-    return window[r] + q * n
-
-
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Window of the composite a∘b."""
-    return tuple(_eval(a, v) for v in b)
+    """Window of a∘b: a(v) = d[(v - 1) mod n] + v, d[r] = a(r + 1) − (r + 1).
+
+    >>> _mul((0, 2, 4), (-2, 2, 6))
+    (-3, 2, 7)
+    """
+    n = len(a)
+    d = [x - p for p, x in enumerate(a, start=1)]
+    return tuple([d[(v - 1) % n] + v for v in b])
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,7 +79,7 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def _sigma(a: tuple[int, ...]) -> tuple[int, ...]:
     n = len(a)
-    return tuple(n + 1 - a[n - i] for i in range(1, n + 1))
+    return tuple([n + 1 - v for v in reversed(a)])
 
 
 @lru_cache(maxsize=1 << 18)

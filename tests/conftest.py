@@ -8,9 +8,11 @@ from collections import deque
 from hypothesis import HealthCheck, settings, strategies as st
 
 from adlv.gu import StratumClass, classify, w_prime
+from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, supp_sigma
 from adlv.weyl import (
     Cocharacter,
     WeylElement,
+    decompose_xmy,
     from_word,
     omega_shift,
     simple_ref,
@@ -213,6 +215,24 @@ def reduction_search_reference(w: WeylElement, target: WeylElement,
         if change == -2 and image in target_parents:
             return (tuple(reversed(path(source_parents, x))), x, i, image,
                     tuple(path(target_parents, image)))
+    return None
+
+
+def v_form_reference(w: WeylElement) -> WeylElement | None:
+    """
+    The first length-positive v = y⁻¹·r⁻¹ with supp_sigma(sigma(v)⁻¹·p(w)·v)
+    proper in the finite diagram, by element arithmetic at every node of the
+    ideal walk Inv(r) ⊆ Phi_w; None when the ideal is exhausted.  It shares
+    the walk, and so its order, with ``is_empty_basic_v_form``, whose witness
+    it pins.
+    """
+    _, _, y = decompose_xmy(w)
+    yi = y.inv()
+    pw = w.finite_part()
+    for _, pos in _iter_inv_ideal(w.n, phi_w(w), DEFAULT_BUDGET):
+        v = yi * WeylElement(pos)
+        if len(supp_sigma(v.sigma().inv() * pw * v)) < w.n - 1:
+            return v
     return None
 
 

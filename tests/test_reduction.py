@@ -38,6 +38,7 @@ from conftest import (
     level_is_stable_oracle,
     one_letter_per_orbit,
     reduction_search_reference,
+    v_form_reference,
     weyl_elements,
 )
 
@@ -381,6 +382,37 @@ def test_v_form_matches_r_form(n):
         closure = is_empty_basic(w).empty
         assert closure == is_empty_basic_v_form(w).empty, (n, k, l)
         assert closure == is_empty_basic_walk(w).empty, (n, k, l)
+
+
+def test_v_form_witness_recheck():
+    count = 0
+    for n in range(2, 10):
+        for (k, l) in sorted(s_admissible(n)):
+            if classify(n, k, l) is not StratumClass.EMPTY:
+                continue
+            w = w_kl(n, k, l)
+            v = is_empty_basic_v_form(w).witness
+            assert v is not None, (n, k, l)
+            # independent recheck through element-level operations
+            _, _, y = decompose_xmy(w)
+            assert inv_set((y * v).inv()) <= phi_w(w), (n, k, l)
+            u = v.sigma().inv() * w.finite_part() * v
+            assert len(supp_sigma(u)) < n - 1, (n, k, l)
+            # the first witness in breadth-first order, as the element-level
+            # loop finds it
+            if n <= 8:
+                assert v == v_form_reference(w), (n, k, l)
+            count += 1
+    assert count == 50
+
+
+def test_v_form_budget_overrun_raises():
+    # a not-DL label: the walk must exhaust |R(w)| = 21 600 nodes, and an
+    # overrun is an error, never a "not empty" verdict
+    w = w_kl(9, 3, 8)
+    assert classify(9, 3, 8) is StratumClass.NOT_DL
+    with pytest.raises(BudgetExceededError):
+        is_empty_basic_v_form(w, budget=1000)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,7 @@
 """Group arithmetic, length, descent and Bruhat machinery."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from adlv.weyl import (
     Cocharacter,
@@ -15,6 +15,7 @@ from adlv.weyl import (
     tau1,
     translation,
     _left_mul,
+    _mul,
 )
 from adlv.gu import b_element, mu, tau_element, w_kl
 
@@ -23,6 +24,7 @@ from conftest import (
     iter_ball,
     length_formula,
     pairing_2rho,
+    weyl_element_pairs,
     weyl_element_triples,
     weyl_elements,
 )
@@ -91,6 +93,19 @@ def test_group_axioms(triple):
     assert (a * b) * c == a * (b * c)
     assert a * a.inv() == identity(a.n) and a.inv() * a == identity(a.n)
     assert (a * b).inv() == b.inv() * a.inv()
+
+
+@given(weyl_element_pairs())
+def test_mul_window_is_composite(pair):
+    a, b = pair
+    assume(a.omega() != 0 and b.omega() != 0)
+    n = a.n
+
+    def at(f, i):  # f(i + qn) = f(i) + qn with i in 1..n
+        q, r = divmod(i - 1, n)
+        return f.window[r] + q * n
+
+    assert _mul(a.window, b.window) == tuple(at(a, at(b, i)) for i in range(1, n + 1))
 
 
 def test_simple_reflection_involution_and_braid():
