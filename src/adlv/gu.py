@@ -41,8 +41,7 @@ from .weyl import (
     WeylElement,
     Cocharacter,
     bruhat_leq,
-    from_word,
-    simple_ref,
+    decompose_xmy,
     tau1,
     translation,
 )
@@ -102,6 +101,11 @@ class StratumClass(enum.Enum):
     EMPTY = "empty"
 
 
+def _check_rank(n: int) -> None:
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+
+
 def _check_label(n: int, k: int, l: int) -> None:
     if not (n >= 2 and 1 <= k < l <= n):
         raise ValueError(f"invalid stratum label ({k},{l}) for n={n}")
@@ -113,6 +117,7 @@ def _check_label(n: int, k: int, l: int) -> None:
 
 def mu(n: int) -> Cocharacter:
     """The GU(2, n-2) cocharacter ((0^(n-2), -1, -1), -1)."""
+    _check_rank(n)
     return Cocharacter((0,) * (n - 2) + (-1, -1), -1)
 
 
@@ -144,7 +149,8 @@ def tau_element(n: int) -> WeylElement:
 
 
 def _labels(n: int) -> Iterator[StratumLabel]:
-    """All stratum labels (k, l), 1 <= k < l <= n, in (k, l) order."""
+    """All stratum labels (k, l), 1 <= k < l <= n, in (k, l) order (rank >= 2)."""
+    _check_rank(n)
     return (StratumLabel(k, l) for k in range(1, n) for l in range(k + 1, n + 1))
 
 
@@ -155,30 +161,27 @@ def s_admissible(n: int) -> frozenset[StratumLabel]:
 
 def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     """
-    Recompute the admissible labels from first definitions: enumerate all
-    elements below some phi^{uμ} in Bruhat order (subword products of a
-    reduced word), keep the minimal coset representatives, and match them
-    against the w_{k,l}.  Guarded to n <= 7; the closed form s_admissible is
-    the production answer.
+    The admissible labels from first definitions, in polynomial time.  For
+    minuscule μ in GL_n, Adm(μ) = Perm(μ) lies in W_0·phi^μ·W_0 (Kottwitz and
+    Rapoport, "Minuscule alcoves for GL_n and GSp_2n", Manuscripta Math. 102,
+    2000); that no admissible element lies outside this double coset is taken
+    on trust.  The candidates are the minimal representatives phi^λ'·y of the
+    cosets W_0·phi^λ, λ ∈ W·μ, read off the normal form of phi^λ; each must be
+    a minimal coset representative below phi^λ in Bruhat order and equal some
+    w_{k,l}, else AssertionError.  s_admissible is the production answer.
     """
-    if n > 7:
-        raise ValueError("brute-force admissible-set enumeration is limited to n <= 7")
     sim = mu(n).similitude
-    tops = [translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
-            for pair in itertools.combinations(range(n), 2)]  # W·μ: two -1 slots
-    admissible: set[WeylElement] = set()
-    for t in tops:
-        word, m = t.reduced_word()
-        below = {from_word(n, (), omega=m, similitude=sim)}
-        for s in (simple_ref(n, a) for a in reversed(word)):
-            below |= {s * v for v in below}
-        admissible |= below
-    reps = {w for w in admissible if w.is_min_coset_rep()}
     by_element = {w_kl(n, *lab): lab for lab in _labels(n)}
-    unexpected = reps - by_element.keys()
-    if unexpected:
-        raise AssertionError(f"unexpected minimal admissible elements {unexpected}")
-    return frozenset(by_element[w] for w in reps)
+    labels = set()
+    for pair in itertools.combinations(range(n), 2):  # W·μ: two -1 slots
+        t = translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
+        _, lam, y = decompose_xmy(t)
+        rep = translation(lam) * y
+        if not (rep.is_min_coset_rep() and bruhat_leq(rep, t) and rep in by_element):
+            raise AssertionError(f"{rep}, the coset representative of {t}, "
+                                 "is not a minimal admissible w_kl")
+        labels.add(by_element[rep])
+    return frozenset(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +321,6 @@ def stratum_record(n: int, k: int, l: int) -> StratumRecord:
 
 def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
     return [_build_record(n, k, l, classify(n, k, l)) for k, l in _labels(n)]
 
 
@@ -426,8 +427,6 @@ class StratumGraph:
 def stratum_graph(n: int) -> StratumGraph:
     """All nonempty strata with their records, plus the fibration arrows
     (records in label order, so the arrows come out sorted)."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
     records = tuple(_build_record(n, k, l, cls) for k, l in _labels(n)
                     if (cls := classify(n, k, l)) is not StratumClass.EMPTY)
     edges = tuple((rec.label, rec.target) for rec in records if rec.target is not None)

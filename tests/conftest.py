@@ -7,7 +7,7 @@ from collections import deque
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from adlv.gu import StratumClass, classify, w_prime
+from adlv.gu import StratumClass, StratumLabel, classify, mu, w_kl, w_prime
 from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, supp_sigma
 from adlv.weyl import (
     Cocharacter,
@@ -90,6 +90,49 @@ def subword_products(w: WeylElement) -> frozenset[tuple[int, ...]]:
         sub = [word[i] for i in range(len(word)) if mask >> i & 1]
         out.add(from_word(w.n, sub, omega=m).window)
     return frozenset(out)
+
+
+def s_adm_subword_reference(n: int) -> frozenset[StratumLabel]:
+    """
+    The admissible labels by their definition, with no use of the double
+    coset W_0·phi^μ·W_0: the minimal coset representatives among the subword
+    products of every phi^λ, λ ∈ W·μ, matched against the w_{k,l}.  It checks
+    the candidate restriction of ``brute_force_s_adm`` empirically
+    (exponential in n: n <= 6).
+    """
+    sim = mu(n).similitude
+    below = set()
+    for pair in itertools.combinations(range(n), 2):  # W·μ: two -1 slots
+        t = translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
+        below |= {WeylElement(window, sim) for window in subword_products(t)}
+    reps = {w for w in below if w.is_min_coset_rep()}
+    by_element = {w_kl(n, k, l): StratumLabel(k, l)
+                  for k in range(1, n) for l in range(k + 1, n + 1)}
+    if not reps <= by_element.keys():
+        raise AssertionError(f"unexpected minimal admissible elements {reps - by_element.keys()}")
+    return frozenset(by_element[w] for w in reps)
+
+
+def bruhat_count_oracle(u: WeylElement, w: WeylElement) -> bool:
+    """
+    Bruhat order by counting (Björner–Brenti, Combinatorics of Coxeter
+    Groups, Thm 8.3.7): u <= w iff u[i,j] <= w[i,j] for all i, j, where
+    v[i,j] = #{a <= i : v(a) >= j}.  The theorem is stated for affine
+    permutations; inside one Omega-coset, v = v'·tau1^m, tau1^m only shifts
+    i.  Periodicity leaves i = 1..n, and with d the largest displacement
+    |v(a) - a| of u and w, only the band |i - j| <= d + n can differ.
+    """
+    if u.similitude != w.similitude or u.omega() != w.omega():
+        return False
+    n = u.n
+    d = max(abs(v - a) for x in (u, w) for a, v in enumerate(x.window, start=1))
+
+    def count(x, i, j):  # v(a) <= a + d, so only a >= j - d can reach j
+        return sum(x.window[(a - 1) % n] + n * ((a - 1) // n) >= j
+                   for a in range(j - d, i + 1))
+
+    return all(count(u, i, j) <= count(w, i, j)
+               for i in range(1, n + 1) for j in range(i - d - n, i + d + n + 1))
 
 
 def bruhat_subword_oracle(u: WeylElement, w: WeylElement) -> bool:

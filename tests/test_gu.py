@@ -38,9 +38,9 @@ from adlv.gu import (
 )
 from adlv import roots
 from adlv.reduction import positive_coxeter_generic
-from adlv.weyl import from_word, identity, simple_ref, translation
+from adlv.weyl import WeylElement, from_word, identity, simple_ref, translation
 
-from conftest import dim_stratum_recursive, w_kl_product
+from conftest import dim_stratum_recursive, s_adm_subword_reference, w_kl_product
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +83,20 @@ def test_s_admissible_counts():
     assert len(s_admissible(5)) == 10
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [*range(2, 15), 20, 30])
 def test_brute_force_s_adm(n):
     assert brute_force_s_adm(n) == s_admissible(n)
+    if n <= 6:  # every admissible minimal representative is a coset candidate
+        assert s_adm_subword_reference(n) == s_admissible(n)
 
 
-def test_brute_force_guard():
-    with pytest.raises(ValueError):
-        brute_force_s_adm(8)
+def test_brute_force_s_adm_stays_polynomial(monkeypatch):
+    # no reduced word, so no subword enumeration
+    def forbidden(*args, **kwargs):
+        raise AssertionError("brute_force_s_adm built a reduced word")
+    monkeypatch.setattr(WeylElement, "reduced_word", forbidden)
+    for n in range(2, 21):
+        assert brute_force_s_adm(n) == s_admissible(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +351,14 @@ def test_stratum_records_cover_every_label():
         assert graph.records == tuple(rec for rec in records
                                       if rec.stratum_class is not StratumClass.EMPTY)
         assert graph.edges == tuple(sorted(graph.edges))
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+@pytest.mark.parametrize("fn", [mu, s_admissible, brute_force_s_adm,
+                                dim_basic_locus, top_strata])
+def test_rank_below_two_is_rejected(fn, n):
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        fn(n)
 
 
 @pytest.mark.parametrize("n", [1, 0, -3])

@@ -20,6 +20,7 @@ from adlv.weyl import (
 from adlv.gu import b_element, mu, tau_element, w_kl
 
 from conftest import (
+    bruhat_count_oracle,
     bruhat_subword_oracle,
     iter_ball,
     length_formula,
@@ -273,6 +274,31 @@ def test_bruhat_equals_subword_oracle_small(n):
         products = subword_products(w)
         for u in ball:
             assert bruhat_leq(u, w) == (u.window in products), (u, w)
+
+
+def test_bruhat_equals_counting_oracle():
+    answers = set()
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def check(data):
+        # w, a subword of its reduced word (so below it), and a stranger,
+        # all in one Omega-coset
+        n = data.draw(st.integers(2, 7))
+        m = data.draw(st.integers(-2, 2))
+        words = st.lists(st.integers(0, n - 1), max_size=10)
+        w = from_word(n, data.draw(words), omega=m)
+        word, _ = w.reduced_word()
+        keep = data.draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+        below = from_word(n, [a for a, k in zip(word, keep) if k], omega=m)
+        other = from_word(n, data.draw(words), omega=m)
+        for u, v in ((below, w), (w, below), (other, w), (w, other)):
+            got = bruhat_leq(u, v)
+            assert got == bruhat_count_oracle(u, v), (u, v)
+            answers.add(got)
+
+    check()
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
