@@ -5,9 +5,9 @@ Usage: python scripts/stratification_report.py [--n-min 2] [--n-max 20]
 """
 
 import argparse
+from collections import Counter
 
-from adlv.gu import StratumClass, classify, dim_basic_locus, irr_orbit_count, \
-    s_admissible, top_strata
+from adlv.gu import StratumClass, stratum_records
 
 
 def main() -> None:
@@ -21,13 +21,13 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(args.n_min, args.n_max + 1):
-        counts = {cls: 0 for cls in StratumClass}
-        for (k, l) in s_admissible(n):
-            counts[classify(n, k, l)] += 1
-        tops = ",".join(f"({k},{l})" for k, l in sorted(top_strata(n)))
-        print(f"{n:>3} {len(s_admissible(n)):>7} {counts[StratumClass.DL]:>5} "
+        records = stratum_records(n)  # one pass, in label order
+        counts = Counter(rec.stratum_class for rec in records)
+        dim = max(rec.dim for rec in records if rec.dim is not None)
+        tops = [rec.label for rec in records if rec.dim == dim]
+        print(f"{n:>3} {len(records):>7} {counts[StratumClass.DL]:>5} "
               f"{counts[StratumClass.NOT_DL]:>7} {counts[StratumClass.EMPTY]:>6} "
-              f"{dim_basic_locus(n):>4} {irr_orbit_count(n):>7}  {tops}")
+              f"{dim:>4} {len(tops):>7}  {','.join(f'({k},{l})' for k, l in tops)}")
 
 
 if __name__ == "__main__":

@@ -154,6 +154,11 @@ def arrow(w: WeylElement, i: int,
     level: s_i outside the level and commuting with it, and the level stable
     under the twisted conjugation by w.
     """
+    return _arrow(w, w.length(), i, level)
+
+
+def _arrow(w, length: int, i: int, level) -> ReductionArrow:
+    """``arrow`` from w, whose length ``length`` the caller has measured."""
     if level is not None:
         if not commutes_with_level(w.n, i, level):
             raise LevelViolationError(
@@ -162,7 +167,7 @@ def arrow(w: WeylElement, i: int,
             raise LevelViolationError(
                 f"level {sorted(level)} is not stable under the source")
     t = conj_by_simple(w, i)
-    delta = t.length() - w.length()
+    delta = t.length() - length
     if delta > 0:
         raise IncreasingLengthError(
             f"conjugation by s_{i} increases length by {delta}")
@@ -184,22 +189,19 @@ class ChainReport:
 def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
                  expected: WeylElement,
                  level: Optional[frozenset[int]] = None) -> ChainReport:
-    """
-    Apply the superscript word ``steps`` (rightmost letter first) to w and
+    """Apply the superscript word ``steps`` (rightmost letter first) to w and
     report whether every step is an admitted arrow and the result equals
-    ``expected``.  Length is recorded at every node.  A ``level`` context is
-    enforced on every step.
-    """
+    ``expected``, measuring each node's length once, as its arrow lands.  A
+    ``level`` context is enforced on every step."""
     cur = w
     lengths = [w.length()]
-    order = list(steps)
-    for idx in range(len(order) - 1, -1, -1):
+    for idx in reversed(range(len(steps))):
         try:
-            arr = arrow(cur, order[idx], level)
+            arr = _arrow(cur, lengths[-1], steps[idx], level)
         except (IncreasingLengthError, LevelViolationError):
             return ChainReport(False, tuple(lengths), cur, failed_at=idx)
         cur = arr.target
-        lengths.append(cur.length())
+        lengths.append(lengths[-1] - (2 if arr.kind is ArrowKind.LENGTH_DROP_TWO else 0))
     return ChainReport(cur == expected, tuple(lengths), cur)
 
 
@@ -318,7 +320,7 @@ class ReductionCertificate:
         if not (first.valid and len(set(first.lengths)) == 1):
             return False
         try:
-            arr = arrow(self.pivot, self.s, self.level)
+            arr = _arrow(self.pivot, first.lengths[-1], self.s, self.level)
         except (IncreasingLengthError, LevelViolationError):
             return False
         if arr.kind is not ArrowKind.LENGTH_DROP_TWO or arr.target != self.dropped:

@@ -259,7 +259,7 @@ def _sigma_coxeter_window(u: Sequence[int], m: int) -> bool:
     letters = _supp_window(u)
     if any((m - i) % n != i and (m - i) % n in letters for i in letters):
         return False
-    return _length(tuple(u)) == len(letters)
+    return _length(u) == len(letters)
 
 
 def is_sigma_coxeter(w: WeylElement) -> bool:

@@ -28,14 +28,14 @@ Length is Shi's pairwise formula sum_{1 <= i < j <= n} |floor((f(j) - f(i))/n)|;
 the classical double-sum formula over positive roots is kept in the test
 suite as an independent oracle.  `_left_mul` returns the window of s_i·w with
 its length change ±1; reduced words and the Bruhat order peel the smallest
-left descent (`_left_descents` reads them all off w⁻¹), one product a step.
+left descent, read off w⁻¹ by `_left_descents`, until none is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "WeylElement",
@@ -82,12 +82,10 @@ def _sigma(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([n + 1 - v for v in reversed(a)])
 
 
-@lru_cache(maxsize=1 << 18)
-def _length(window: tuple[int, ...]) -> int:
+def _length(window: Sequence[int]) -> int:
     """Shi's pairwise formula: the sum over i < j of |⌊(f(j) − f(i))/n⌋|."""
     n = len(window)
-    return sum(abs((b - a) // n)
-               for k, a in enumerate(window) for b in window[k + 1:])
+    return sum([abs((b - a) // n) for a, b in combinations(window, 2)])
 
 
 def _left_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
@@ -113,9 +111,9 @@ def _left_descents(window: tuple[int, ...]) -> frozenset[int]:
 
 
 def _descent_letters(window: tuple[int, ...]) -> Iterator[int]:
-    """A reduced word of w, left to right: peel the smallest left descent."""
-    for _ in range(_length(window)):
-        i = min(_left_descents(window))
+    """A reduced word of w: peel the smallest left descent until none is left."""
+    while descents := _left_descents(window):
+        i = min(descents)
         window = _left_mul(window, i)[0]
         yield i
 

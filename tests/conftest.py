@@ -135,12 +135,6 @@ def bruhat_count_oracle(u: WeylElement, w: WeylElement) -> bool:
                for i in range(1, n + 1) for j in range(i - d - n, i + d + n + 1))
 
 
-def bruhat_subword_oracle(u: WeylElement, w: WeylElement) -> bool:
-    if u.similitude != w.similitude or u.omega() != w.omega():
-        return False
-    return u.window in subword_products(w)
-
-
 def all_perm_elements(n: int):
     """Every finite element of rank n."""
     return [WeylElement(p) for p in itertools.permutations(range(1, n + 1))]

@@ -59,7 +59,6 @@ from adlv.gu import b_element
 from adlv.roots import inv_set, phi_w, supp_sigma
 
 from conftest import (
-    bruhat_subword_oracle,
     iter_ball,
     length_formula,
     subword_products,

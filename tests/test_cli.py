@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adlv import cli, gu, roots
+from adlv import cli, gu, reduction, roots
 from adlv.gu import StratumClass, classify, s_admissible, stratum_record, w_kl
 from adlv.weyl import WeylElement
 
@@ -296,6 +296,44 @@ def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
     assert len(fails) == 1 and fails[0].startswith("[FAIL] reduction n=7: ")
     assert "(4,6)" in fails[0] and "not stable" in fails[0]
     assert "n=8" not in out and "n=9" not in out
+
+
+@pytest.mark.parametrize("module, name, fake, suite, line", [
+    (gu, "classify_by_criterion", lambda n, k, l: StratumClass.EMPTY, "oracle",
+     "[FAIL] oracle n=2: first counterexample (1,2): closed form dl, criterion empty"),
+    (reduction, "is_empty_basic_walk",
+     lambda w, budget: reduction.EmptinessVerdict(False), "oracle",
+     "[FAIL] oracle n=3: first counterexample (2,3): closure empty, "
+     "ideal walk empty=False"),
+    (gu, "w_kl", lambda n, k, l: w_kl(n, 1, 2), "closedforms",
+     "[FAIL] closedforms n=3: length of (1,3) is 0, not 1"),
+    (gu, "supp_sigma_closed", lambda n, k, l: frozenset({n}), "closedforms",
+     "[FAIL] closedforms n=2: twisted support mismatch at (1,2)"),
+    (gu, "classify", lambda n, k, l: StratumClass.DL, "closedforms",
+     "[FAIL] closedforms n=3: dimension/component count"),
+    (reduction, "find_reduction", lambda *args, **kwargs: None, "reduction",
+     "[FAIL] reduction n=5: no verified certificate for (3,4)"),
+    (gu, "load_golden_summary", lambda n: {}, "figures",
+     "[FAIL] figures n=13: computed graph differs from the golden transcription"),
+], ids=["criterion", "ideal-walk", "length", "support", "dimension",
+        "no-certificate", "figures"])
+def test_verify_reports_each_check_failure(monkeypatch, capsys, module, name,
+                                           fake, suite, line):
+    # a wrong closed form or oracle makes its check fail with its own
+    # detail, and the suite stops at that rank
+    monkeypatch.setattr(module, name, fake)
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "6")
+    assert code == 1
+    assert out.count("[FAIL]") == 1 and out.splitlines()[-1] == line
+
+
+def test_check_oracle_skips_the_ideal_walk_above_its_cap(monkeypatch):
+    def banned(*args):
+        raise AssertionError("the ideal walk ran above WALK_N_MAX")
+
+    monkeypatch.setattr(reduction, "is_empty_basic_walk", banned)
+    assert cli._check_oracle(cli.WALK_N_MAX + 1, roots.DEFAULT_BUDGET) == (
+        True, "closed form = criterion on all labels")
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])

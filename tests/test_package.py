@@ -5,7 +5,7 @@ import sys
 import types
 
 import adlv
-from adlv import gu, reduction, roots, weyl
+from adlv import cli, gu, reduction, roots, weyl
 
 MODULES = (weyl, roots, reduction, gu)
 
@@ -25,3 +25,12 @@ def test_package_import_leaves_out_the_cli():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_module_holds_a_functools_cache():
+    # no memo in the package: functools' cache wrappers carry cache_info
+    cached = [f"{module.__name__}.{name}" for module in (*MODULES, cli)
+              for name, value in vars(module).items()
+              if getattr(value, "__module__", None) == module.__name__
+              and hasattr(value, "cache_info")]
+    assert cached == []

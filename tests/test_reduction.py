@@ -136,6 +136,24 @@ def test_counterexample_chain_convention():
     assert not bad.valid and bad.failed_at == 2
 
 
+@given(weyl_elements(max_n=7, max_len=8), st.data())
+def test_chain_lengths_are_the_node_lengths(w, data):
+    # a chain measures each node's length once, as the arrow into it lands;
+    # the lengths it records are still each node's own
+    nodes, word = [w], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        cur = nodes[-1]
+        letters = [i for i in range(w.n)
+                   if conj_by_simple(cur, i).length() <= cur.length()]
+        if not letters:
+            break
+        i = data.draw(st.sampled_from(letters))
+        word.insert(0, i)  # superscript order: the last letter applies first
+        nodes.append(conj_by_simple(cur, i))
+    rep = verify_chain(w, word, nodes[-1])
+    assert rep.valid and rep.lengths == tuple(v.length() for v in nodes)
+
+
 def test_reduction_0_chain_n13():
     # w_{3,l} -> s_1...s_{l-3} s_{n-1} s_{n-2} s_{n-1} tau under (s_{n-2}, s_0)
     n, l = 13, 12
@@ -226,6 +244,14 @@ def test_find_reduction_diagonal_case_n14():
     assert w_prime(14, 4, 13) == (3, 12)
     cert = find_reduction(w_kl(14, 4, 13), w_kl(14, 3, 12))
     assert cert is not None and cert.verify()
+
+
+def test_find_reduction_returns_none_without_a_match():
+    # w_{2,4} has the length of w_{3,5}'s target at n = 7 but lies in no
+    # class a drop from w_{3,5} reaches: both classes are exhausted
+    assert find_reduction(w_kl(7, 3, 5), w_kl(7, 2, 4)) is None
+    # the target w_{1,5} with another similitude is never searched for
+    assert find_reduction(w_kl(7, 3, 5), WeylElement(w_kl(7, 1, 5).window, 0)) is None
 
 
 def test_find_reduction_precondition():
@@ -324,8 +350,12 @@ def test_arrow_with_level_context():
         arrow(w, 4, level)          # inside the level
     with pytest.raises(LevelViolationError):
         arrow(w, 2, level)          # adjacent to the level
-    with pytest.raises(LevelViolationError):
-        arrow(w, 0, frozenset({1}))  # level not stable under w
+    with pytest.raises(LevelViolationError, match="does not commute"):
+        arrow(w, 0, frozenset({1}))  # adjacent to the level
+    # s_6 commutes with {1} at n = 7, but w_{3,5} does not keep {1} stable
+    with pytest.raises(LevelViolationError,
+                       match=r"^level \[1\] is not stable under the source$"):
+        arrow(w_kl(7, 3, 5), 6, level=frozenset({1}))
 
 
 def test_find_reduction_at_level():

@@ -21,10 +21,10 @@ from adlv.gu import b_element, mu, tau_element, w_kl
 
 from conftest import (
     bruhat_count_oracle,
-    bruhat_subword_oracle,
     iter_ball,
     length_formula,
     pairing_2rho,
+    subword_products,
     weyl_element_pairs,
     weyl_element_triples,
     weyl_elements,
@@ -270,7 +270,6 @@ def _ball(n, radius):
 def test_bruhat_equals_subword_oracle_small(n):
     ball = _ball(n, 4)
     for w in ball:
-        from conftest import subword_products
         products = subword_products(w)
         for u in ball:
             assert bruhat_leq(u, w) == (u.window in products), (u, w)
