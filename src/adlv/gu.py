@@ -21,11 +21,8 @@ whole ``StratumRecord``, for empty labels too, where only the class-free
 supports and stable set (``supp_sigma_closed``, ``s_closed``) are defined.
 The other per-field helpers (``w_prime``, ``dim_stratum``, ...) classify once
 and read one field of that record, raising NotApplicableError where it is
-undefined; ``stratum_records`` builds every record, one classify per label.
-
-Dimension bookkeeping: a DL stratum has dimension equal to its length; a
-not-DL stratum fibers over its target with one-dimensional fibers, so its
-dimension is the target's plus one.
+undefined; ``stratum_records``, which ``stratum_graph`` filters, classifies
+each label once and builds each distinct set once per call for all to share.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, NamedTuple, Optional
 
@@ -214,20 +210,19 @@ def classify_by_criterion(n: int, k: int, l: int) -> StratumClass:
 # the closed-form record of a label
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class StratumRecord:
+class StratumRecord(NamedTuple):
     label: StratumLabel
     stratum_class: StratumClass
     length: int
-    dim: Optional[int]
-    target: Optional[StratumLabel]
-    rank: Optional[int]
-    base: Optional[StratumLabel]
     supp_sigma: frozenset[int]
     s_w_sigma: frozenset[int]
-    parahoric: Optional[frozenset[int]]
-    j_set: Optional[frozenset[int]]
-    positive_coxeter: bool
+    dim: Optional[int] = None
+    target: Optional[StratumLabel] = None
+    rank: Optional[int] = None
+    base: Optional[StratumLabel] = None
+    parahoric: Optional[frozenset[int]] = None
+    j_set: Optional[frozenset[int]] = None
+    positive_coxeter: bool = False
 
 
 def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
@@ -239,6 +234,17 @@ def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     """
     _check_label(n, k, l)
     return frozenset(range(l - 2)).union(range(n - l + 1, n - (k == 1)))
+
+
+def _s_bounds(n: int, k: int, l: int) -> tuple[int, int, bool]:
+    """``s_closed``'s interval ends lo, hi and whether its odd letters join."""
+    if 2 * l <= n + 2:
+        lo, hi = l - 1, n - l
+    elif 2 * k <= n:
+        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
+    else:
+        lo, hi = n - k + 2, k - 1
+    return lo, hi, l == k + 1 and lo % 2 == 1 and 2 * k != n + 1
 
 
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
@@ -253,22 +259,18 @@ def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     [1, 3, 5, 6, 7, 9, 11]
     """
     _check_label(n, k, l)
-    if 2 * l <= n + 2:
-        lo, hi = l - 1, n - l
-    elif 2 * k <= n:
-        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
-    else:
-        lo, hi = n - k + 2, k - 1
+    lo, hi, odd = _s_bounds(n, k, l)
     out = frozenset(range(lo, hi))
-    if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
+    if odd:
         out |= frozenset(range(1, lo - 1, 2)) | frozenset(range(n - 1, hi, -2))
     return out
 
 
-def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
+def _build_record(n: int, label: StratumLabel, cls: StratumClass, sets: dict) -> StratumRecord:
     """
     Every closed-form datum of a label of class ``cls`` (an empty label has
-    its supports and stable set only).
+    its supports and stable set only).  Each set is read from ``sets`` under
+    the parameters its closed form depends on, and built on the first miss.
 
     A DL stratum has dimension equal to its length, and its parahoric type is
     the shift by one (mod n) of supp_sigma ∪ S(w,sigma).  A not-DL stratum
@@ -277,27 +279,34 @@ def _build_record(n: int, k: int, l: int, cls: StratumClass) -> StratumRecord:
     dimension is l' - 2 plus the fibration rank, its parahoric level is
     hyperspecial, and its reduction chains consume the letters ``j_set``.
     """
-    supp, stable = supp_sigma_closed(n, k, l), s_closed(n, k, l)
-    dim = parahoric = target = rank = base = letters = None
-    positive_coxeter = False
+    k, l = label
+    # the support's two runs meet once 2l >= n+3; past that l no longer matters
+    supp_key, stable_key = ("supp", min(l, (n + 4) // 2), k == 1), _s_bounds(n, k, l)
+    if (supp := sets.get(supp_key)) is None:
+        supp = sets[supp_key] = supp_sigma_closed(n, k, l)
+    if (stable := sets.get(stable_key)) is None:
+        stable = sets[stable_key] = s_closed(n, k, l)
+    length = k + l - 3
+    if cls is StratumClass.EMPTY:
+        return StratumRecord(label, cls, length, supp, stable)
     if cls is StratumClass.DL:
-        dim = k + l - 3
-        parahoric = frozenset((i + 1) % n for i in supp | stable)
-    elif cls is StratumClass.NOT_DL:
-        letters = frozenset(range(k - 2)) | frozenset(range(n - k + 1, n))
-        if k + l <= n + 2:
-            target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, StratumLabel(1, l)
-        else:
-            target = (StratumLabel(k - 1, l - 1) if k + l == n + 3
-                      else StratumLabel(k, l - 2))
-            rank, base = k + (l - n - 3) // 2, StratumLabel(1, n - k + 2)
-            letters |= {k - 2}
-        dim = base.l - 2 + rank
-        parahoric = frozenset(range(1, n))
-        positive_coxeter = k == (n + 1) // 2 or l == (n + 4) // 2
-    return StratumRecord(StratumLabel(k, l), cls, k + l - 3, dim, target, rank,
-                         base, supp, stable, parahoric, letters,
-                         positive_coxeter)
+        if (parahoric := sets.get((supp_key, stable_key))) is None:
+            parahoric = sets[supp_key, stable_key] = frozenset(
+                (i + 1) % n for i in supp | stable)
+        return StratumRecord(label, cls, length, supp, stable, dim=length, parahoric=parahoric)
+    near = k + l <= n + 2  # else k-2 joins the letters
+    if near:
+        target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, StratumLabel(1, l)
+    else:
+        target = StratumLabel(k - 1, l - 1) if k + l == n + 3 else StratumLabel(k, l - 2)
+        rank, base = k + (l - n - 3) // 2, StratumLabel(1, n - k + 2)
+    if (parahoric := sets.get("hyperspecial")) is None:
+        parahoric = sets["hyperspecial"] = frozenset(range(1, n))
+    if (letters := sets.get(("j_set", k, near))) is None:
+        letters = sets["j_set", k, near] = frozenset(range(k - 1 - near)).union(
+            range(n - k + 1, n))
+    return StratumRecord(label, cls, length, supp, stable, base.l - 2 + rank, target, rank,
+                         base, parahoric, letters, k == (n + 1) // 2 or l == (n + 4) // 2)
 
 
 _NONEMPTY = frozenset({StratumClass.DL, StratumClass.NOT_DL})
@@ -311,7 +320,7 @@ def _record(n: int, k: int, l: int, allowed: frozenset[StratumClass],
     cls = classify(n, k, l)
     if cls not in allowed:
         raise NotApplicableError(f"{what} is undefined on the {cls.value} label ({k},{l})")
-    return _build_record(n, k, l, cls)
+    return _build_record(n, StratumLabel(k, l), cls, {})
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:
@@ -321,7 +330,8 @@ def stratum_record(n: int, k: int, l: int) -> StratumRecord:
 
 def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
-    return [_build_record(n, k, l, classify(n, k, l)) for k, l in _labels(n)]
+    sets: dict = {}
+    return [_build_record(n, lab, classify(n, *lab), sets) for lab in _labels(n)]
 
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
@@ -410,8 +420,7 @@ def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
 # the fibration graph, dimensions and components
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class StratumGraph:
+class StratumGraph(NamedTuple):
     n: int
     records: tuple[StratumRecord, ...]
     edges: tuple[tuple[StratumLabel, StratumLabel], ...]
@@ -427,8 +436,8 @@ class StratumGraph:
 def stratum_graph(n: int) -> StratumGraph:
     """All nonempty strata with their records, plus the fibration arrows
     (records in label order, so the arrows come out sorted)."""
-    records = tuple(_build_record(n, k, l, cls) for k, l in _labels(n)
-                    if (cls := classify(n, k, l)) is not StratumClass.EMPTY)
+    records = tuple(rec for rec in stratum_records(n)
+                    if rec.stratum_class is not StratumClass.EMPTY)
     edges = tuple((rec.label, rec.target) for rec in records if rec.target is not None)
     return StratumGraph(n, records, edges)
 

@@ -187,6 +187,14 @@ def test_classify_json_n200_is_pinned():
         "b931309846ea0f0b0bd54b382454ca7334c04cd3ab7d2eade4d820c56088a819")
 
 
+def test_classify_dot_n200_is_pinned():
+    # sha256 and size of the `classify --n 200 --format dot` bytes
+    data = cli.classify_text(200, "dot").encode()
+    assert len(data) == 589_896
+    assert hashlib.sha256(data).hexdigest() == (
+        "4fb7d5ee56fb8c354e962e0ec5874655798cfd8f6478ac3d2d0f7a9eaa2d540c")
+
+
 def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):
     # the script and `adlv classify` write through one function
     script = Path(__file__).resolve().parents[1] / "scripts" / "export_graphs.py"
@@ -286,10 +294,13 @@ def test_verify_closedforms_reports_wrong_stable_set(monkeypatch, capsys):
 
 def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
     # a level the source does not keep stable makes find_reduction raise;
-    # the suite reports it as a failure at that rank, not as a traceback
-    real = gu.s_closed
-    monkeypatch.setattr(gu, "s_closed", lambda n, k, l: (
-        frozenset({0}) if (n, k, l) == (7, 4, 6) else real(n, k, l)))
+    # the suite reports it as a failure at that rank, not as a traceback.
+    # The fault goes on the one record: records share their sets, so a
+    # wrong s_closed would reach every label with the same closed-form key
+    real = gu.stratum_records
+    monkeypatch.setattr(gu, "stratum_records", lambda n: [
+        rec._replace(s_w_sigma=frozenset({0})) if (n, *rec.label) == (7, 4, 6) else rec
+        for rec in real(n)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--n-max", "9")
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]

@@ -333,24 +333,48 @@ def test_stratum_record_fields():
 
 
 def test_stratum_records_cover_every_label():
-    for n in range(2, 16):
+    # n <= 60 reaches every branch of s_closed and of the keys records share
+    # their sets under; each field is checked against its per-label source
+    for n in range(2, 61):
         records = stratum_records(n)
         assert [rec.label for rec in records] == sorted(s_admissible(n))
         for rec in records:
             k, l = rec.label
+            supp, stable = supp_sigma_closed(n, k, l), s_closed(n, k, l)
             assert rec.stratum_class is classify(n, k, l)
-            assert rec.s_w_sigma == s_closed(n, k, l)
+            assert (rec.supp_sigma, rec.s_w_sigma) == (supp, stable)
             if rec.stratum_class is StratumClass.EMPTY:
-                assert rec.supp_sigma == supp_sigma_closed(n, k, l)
                 assert (rec.dim, rec.parahoric, rec.target, rec.rank, rec.base,
                         rec.j_set, rec.positive_coxeter) == (None,) * 6 + (False,)
+                continue
+            assert rec == stratum_record(n, k, l)
+            if rec.stratum_class is StratumClass.DL:
+                assert rec.parahoric == frozenset((i + 1) % n for i in supp | stable)
+                assert rec.j_set is None
             else:
-                assert rec == stratum_record(n, k, l)
+                assert rec.parahoric == frozenset(range(1, n))
+                assert rec.j_set == j_set(n, k, l)
         # the graph's consumers (graph_summary, classify_dot) rely on its order
         graph = stratum_graph(n)
         assert graph.records == tuple(rec for rec in records
                                       if rec.stratum_class is not StratumClass.EMPTY)
         assert graph.edges == tuple(sorted(graph.edges))
+
+
+def test_stratum_records_share_sets_within_one_call_only():
+    # one call builds each distinct set once, however many of its n(n-1)/2
+    # labels hold it; a second call builds its own, so no call keeps a set
+    n = 200
+    fields = ("supp_sigma", "s_w_sigma", "parahoric", "j_set")
+    first, second = stratum_records(n), stratum_records(n)
+
+    def objects(records, field):
+        return {id(s) for rec in records if (s := getattr(rec, field)) is not None}
+
+    for field in fields:
+        assert len(objects(first, field)) <= 2 * n, field
+    assert set().union(*(objects(first, f) for f in fields)).isdisjoint(
+        set().union(*(objects(second, f) for f in fields)))
 
 
 @pytest.mark.parametrize("n", [1, 0, -1])
