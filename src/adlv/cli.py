@@ -370,8 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: each cmd_* looks its helpers up when it runs, so patching them holds
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -19,10 +19,11 @@ The closed forms of a label live in one place: ``_build_record`` branches on
 the class and the not-DL sub-case (never on the parity of n) and fills a
 whole ``StratumRecord``, for empty labels too, where only the class-free
 supports and stable set (``supp_sigma_closed``, ``s_closed``) are defined.
-The other per-field helpers (``w_prime``, ``dim_stratum``, ...) classify once
-and read one field of that record, raising NotApplicableError where it is
-undefined; ``stratum_records``, which ``stratum_graph`` filters, classifies
-each label once and builds each distinct set once per call for all to share.
+``stratum_record`` is the one per-label entry point; ``stratum_records``,
+which ``stratum_graph`` filters, classifies each label once and builds each
+distinct set once per call for all to share.  Two per-field readers remain,
+``w_prime`` and ``positive_coxeter_closed``, because the benchmark traces and
+calls them by name; each raises NotApplicableError off the not-DL labels.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .weyl import (
     Cocharacter,
     bruhat_leq,
     decompose_xmy,
-    tau1,
     translation,
 )
 from . import roots
@@ -59,16 +59,9 @@ __all__ = [
     "classify",
     "classify_by_criterion",
     "w_prime",
-    "fibration_rank",
-    "fibration_base",
     "supp_sigma_closed",
     "s_closed",
-    "j_set",
-    "parahoric_type",
-    "w0_element",
-    "dim_stratum",
     "dim_basic_locus",
-    "irr_orbit_count",
     "top_strata",
     "closure_leq",
     "geq_s_sigma",
@@ -77,7 +70,6 @@ __all__ = [
     "stratum_records",
     "stratum_graph",
     "graph_summary",
-    "canonical_graph_bytes",
     "load_golden_summary",
 ]
 
@@ -211,6 +203,26 @@ def classify_by_criterion(n: int, k: int, l: int) -> StratumClass:
 # ---------------------------------------------------------------------------
 
 class StratumRecord(NamedTuple):
+    """
+    Every closed-form datum of one label (k, l).  On every label: ``label``,
+    ``stratum_class``, ``length`` = k + l - 3, the twisted support
+    ``supp_sigma`` (``supp_sigma_closed``) and the largest Ad(w)sigma-stable
+    set ``s_w_sigma`` (``s_closed``).
+
+    On nonempty labels (None on empty ones): ``dim``, the length on DL
+    labels and on not-DL labels the target's dimension plus one per
+    fibration step, i.e. the dimension l' - 2 of the DL base (1, l') plus the
+    rank; ``parahoric``, the type of the parahoric indexing the stratum
+    decomposition: the shift by one (mod n) of supp_sigma ∪ s_w_sigma on DL
+    labels, the full finite set {1, ..., n-1} (hyperspecial) on not-DL ones.
+
+    On not-DL labels only (None elsewhere): ``target``, the one-step
+    fibration target w' (three sub-cases: k+l <= n+2, = n+3, >= n+4);
+    ``rank``, the number of one-dimensional steps down to the DL base;
+    ``base``, the terminal DL label under iterated targets; ``j_set``, the
+    letters the reduction chains from (k, l) to its target consume.
+    ``positive_coxeter`` is positive-Coxeter detection there, else False.
+    """
     label: StratumLabel
     stratum_class: StratumClass
     length: int
@@ -267,18 +279,9 @@ def s_closed(n: int, k: int, l: int) -> frozenset[int]:
 
 
 def _build_record(n: int, label: StratumLabel, cls: StratumClass, sets: dict) -> StratumRecord:
-    """
-    Every closed-form datum of a label of class ``cls`` (an empty label has
-    its supports and stable set only).  Each set is read from ``sets`` under
-    the parameters its closed form depends on, and built on the first miss.
-
-    A DL stratum has dimension equal to its length, and its parahoric type is
-    the shift by one (mod n) of supp_sigma ∪ S(w,sigma).  A not-DL stratum
-    fibers over its target w_prime (three sub-cases: k+l <= n+2, = n+3,
-    >= n+4) with one-dimensional fibers, down to a DL base (1, l'); its
-    dimension is l' - 2 plus the fibration rank, its parahoric level is
-    hyperspecial, and its reduction chains consume the letters ``j_set``.
-    """
+    """The record of a label of class ``cls``.  Each set is read from
+    ``sets`` under the parameters its closed form depends on, and built on
+    the first miss."""
     k, l = label
     # the support's two runs meet once 2l >= n+3; past that l no longer matters
     supp_key, stable_key = ("supp", min(l, (n + 4) // 2), k == 1), _s_bounds(n, k, l)
@@ -324,7 +327,8 @@ def _record(n: int, k: int, l: int, allowed: frozenset[StratumClass],
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:
-    """The closed-form record of a nonempty label."""
+    """The closed-form record of a nonempty label (fields: ``StratumRecord``),
+    the one per-label entry point; NotApplicableError on an empty label."""
     return _record(n, k, l, _NONEMPTY, "the stratum record")
 
 
@@ -339,37 +343,6 @@ def w_prime(n: int, k: int, l: int) -> StratumLabel:
     return _record(n, k, l, _NOT_DL, "the fibration target").target
 
 
-def fibration_rank(n: int, k: int, l: int) -> int:
-    """Number of one-dimensional fibration steps down to the DL base."""
-    return _record(n, k, l, _NOT_DL, "the fibration rank").rank
-
-
-def fibration_base(n: int, k: int, l: int) -> StratumLabel:
-    """Terminal DL label under iterated w_prime."""
-    return _record(n, k, l, _NOT_DL, "the fibration base").base
-
-
-def j_set(n: int, k: int, l: int) -> frozenset[int]:
-    """Letters consumed by the reduction chains from (k,l) to its target."""
-    return _record(n, k, l, _NOT_DL, "the reduction-letter set").j_set
-
-
-def parahoric_type(n: int, k: int, l: int) -> frozenset[int]:
-    """
-    Type of the parahoric indexing the stratum decomposition: the shift by
-    one (mod n) of supp_sigma ∪ S(w,sigma) for DL labels, and the full finite
-    set (hyperspecial level) for non-DL labels.
-    """
-    return _record(n, k, l, _NONEMPTY, "the parahoric type").parahoric
-
-
-def dim_stratum(n: int, k: int, l: int) -> int:
-    """Stratum dimension: the length for DL labels, target dimension plus one
-    along each fibration step, i.e. the dimension l - 2 of the DL base (1, l)
-    plus the fibration rank."""
-    return _record(n, k, l, _NONEMPTY, "the dimension").dim
-
-
 def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
     """Closed form of positive-Coxeter detection on non-DL labels.
 
@@ -380,26 +353,17 @@ def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
     return _record(n, k, l, _NOT_DL, "positive-Coxeter detection").positive_coxeter
 
 
-def w0_element(n: int, k: int, l: int) -> WeylElement:
-    """b⁻¹ · tau1 · w_{k,l} · sigma(tau1)⁻¹, a plain affine element; finite
-    exactly when the shifted support union fills the finite diagram (the DL
-    labels with k = 1 and 2l >= n+3)."""
-    _record(n, k, l, _NONEMPTY, "the hyperspecial-frame element")
-    t1 = tau1(n)
-    out = b_element(n).inv() * t1 * w_kl(n, k, l) * t1.sigma().inv()
-    if out.omega() != 0 or out.similitude != 0:
-        raise AssertionError("frame-shifted element left the affine subgroup")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closure order
 # ---------------------------------------------------------------------------
 
 def closure_leq(a: StratumLabel | tuple[int, int],
                 b: StratumLabel | tuple[int, int]) -> bool:
-    """Whether stratum a lies in the closure of stratum b (componentwise
-    order; the closure statement is guaranteed for DL labels)."""
+    """Whether stratum a lies in the closure of stratum b, by the
+    componentwise order.  The order is exact only when the upper label b is
+    DL: the twisted order ``geq_s_sigma`` puts (1,5) below the not-DL (3,4)
+    at n = 5, which this order denies (the tests pin every disagreement and
+    the agreement below each DL label at n <= 6)."""
     return a[0] <= b[0] and a[1] <= b[1]
 
 
@@ -425,13 +389,6 @@ class StratumGraph(NamedTuple):
     records: tuple[StratumRecord, ...]
     edges: tuple[tuple[StratumLabel, StratumLabel], ...]
 
-    def record(self, k: int, l: int) -> StratumRecord:
-        """The record of the nonempty label (k, l), found by a scan."""
-        for rec in self.records:
-            if rec.label == (k, l):
-                return rec
-        raise KeyError(f"({k},{l}) is not a nonempty stratum here")
-
 
 def stratum_graph(n: int) -> StratumGraph:
     """All nonempty strata with their records, plus the fibration arrows
@@ -452,11 +409,6 @@ def top_strata(n: int) -> frozenset[StratumLabel]:
     return frozenset(rec.label for rec in records if rec.dim == d)
 
 
-def irr_orbit_count(n: int) -> int:
-    """Number of orbits of irreducible components under the group action."""
-    return len(top_strata(n))
-
-
 def graph_summary(g: StratumGraph) -> dict:
     """Node/edge summary in the canonical shape used by the golden fixtures."""
     return {
@@ -464,10 +416,6 @@ def graph_summary(g: StratumGraph) -> dict:
         "nodes": [list(rec.label) for rec in g.records],
         "edges": [[list(a), list(b)] for a, b in g.edges],
     }
-
-
-def canonical_graph_bytes(g: StratumGraph) -> bytes:
-    return (json.dumps(graph_summary(g), indent=2) + "\n").encode()
 
 
 def load_golden_summary(n: int) -> dict:

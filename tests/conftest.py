@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from adlv.gu import StratumClass, StratumLabel, classify, mu, w_kl, w_prime
+from adlv.gu import (
+    StratumClass,
+    StratumGraph,
+    StratumLabel,
+    b_element,
+    classify,
+    graph_summary,
+    mu,
+    stratum_record,
+    w_kl,
+    w_prime,
+)
 from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, supp_sigma
 from adlv.weyl import (
     Cocharacter,
@@ -16,6 +28,7 @@ from adlv.weyl import (
     from_word,
     omega_shift,
     simple_ref,
+    tau1,
     translation,
 )
 
@@ -284,6 +297,23 @@ def dim_stratum_recursive(n: int, k: int, l: int) -> int:
 # ---------------------------------------------------------------------------
 # helpers only the tests use
 # ---------------------------------------------------------------------------
+
+def w0_element(n: int, k: int, l: int) -> WeylElement:
+    """b⁻¹ · tau1 · w_{k,l} · sigma(tau1)⁻¹ on a nonempty label, a plain
+    affine element; finite exactly when the shifted support union fills the
+    finite diagram (the DL labels with k = 1 and 2l >= n+3)."""
+    stratum_record(n, k, l)  # NotApplicableError on an empty label
+    t1 = tau1(n)
+    out = b_element(n).inv() * t1 * w_kl(n, k, l) * t1.sigma().inv()
+    if out.omega() != 0 or out.similitude != 0:
+        raise AssertionError("frame-shifted element left the affine subgroup")
+    return out
+
+
+def canonical_graph_bytes(g: StratumGraph) -> bytes:
+    """The bytes of the golden fixtures: ``graph_summary`` as indented JSON."""
+    return (json.dumps(graph_summary(g), indent=2) + "\n").encode()
+
 
 def delta_plus(root: tuple[int, int]) -> int:
     """Indicator of positivity of the root (i, j)."""

@@ -15,22 +15,18 @@ from adlv import roots
 from adlv.gu import (
     StratumClass,
     brute_force_s_adm,
-    canonical_graph_bytes,
     classify,
     classify_by_criterion,
     closure_leq,
     dim_basic_locus,
-    fibration_base,
-    fibration_rank,
     geq_s_sigma,
     graph_summary,
-    irr_orbit_count,
-    j_set,
     load_golden_summary,
     positive_coxeter_closed,
     s_admissible,
     s_closed,
     stratum_graph,
+    stratum_record,
     supp_sigma_closed,
     tau_element,
     top_strata,
@@ -59,6 +55,7 @@ from adlv.gu import b_element
 from adlv.roots import inv_set, phi_w, supp_sigma
 
 from conftest import (
+    canonical_graph_bytes,
     iter_ball,
     length_formula,
     subword_products,
@@ -114,7 +111,7 @@ def test_criterion_3_closed_form_cross_checks():
             assert roots.s_w_sigma(w) == s_closed(n, k, l), (n, k, l)
             if classify(n, k, l) is StratumClass.NOT_DL:
                 stable = s_closed(n, k, l)
-                for j in j_set(n, k, l):
+                for j in stratum_record(n, k, l).j_set:
                     sj = simple_ref(n, j)
                     for s in stable:
                         ss = simple_ref(n, s)
@@ -126,7 +123,7 @@ def test_criterion_4_dimensions_and_components():
     """dim = n-2, component-orbit count = floor(n/2), explicit top strata."""
     for n in range(2, 21):
         assert dim_basic_locus(n) == n - 2, n
-        assert irr_orbit_count(n) == n // 2, n
+        assert len(top_strata(n)) == n // 2, n
         expected = {(1, n)} | {(k, n - 1) for k in range(3, (n + 1) // 2 + 1)}
         if n % 2 == 0:
             expected |= {(n // 2, n // 2 + 1)}

@@ -249,6 +249,18 @@ def test_classify_usage_error(capsys):
     assert "at least 2" in err
 
 
+def test_main_parses_with_one_parser_built_at_import(monkeypatch, capsys):
+    # main must not build a parser per call; two different calls both work
+    def no_parser():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, out, _ = run_cli(capsys, "classify", "--n", "5", "--format", "dot")
+    assert code == 0 and out == cli.classify_text(5, "dot")
+    code, out, err = run_cli(capsys, "element", "--n", "5", "--word", "0,1",
+                             "--show", "length")
+    assert code == 0 and out == "length: 2\n" and err == ""
+
+
 def test_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus"])

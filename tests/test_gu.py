@@ -8,21 +8,14 @@ from adlv.gu import (
     StratumLabel,
     b_element,
     brute_force_s_adm,
-    canonical_graph_bytes,
     classify,
     classify_by_criterion,
     closure_leq,
     dim_basic_locus,
-    dim_stratum,
-    fibration_base,
-    fibration_rank,
     geq_s_sigma,
     graph_summary,
-    irr_orbit_count,
-    j_set,
     load_golden_summary,
     mu,
-    parahoric_type,
     positive_coxeter_closed,
     s_admissible,
     s_closed,
@@ -32,7 +25,6 @@ from adlv.gu import (
     supp_sigma_closed,
     tau_element,
     top_strata,
-    w0_element,
     w_kl,
     w_prime,
 )
@@ -40,7 +32,13 @@ from adlv import roots
 from adlv.reduction import positive_coxeter_generic
 from adlv.weyl import WeylElement, from_word, identity, simple_ref, translation
 
-from conftest import dim_stratum_recursive, s_adm_subword_reference, w_kl_product
+from conftest import (
+    canonical_graph_bytes,
+    dim_stratum_recursive,
+    s_adm_subword_reference,
+    w0_element,
+    w_kl_product,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +145,13 @@ def test_w_prime_examples():
     assert w_prime(13, 7, 12) == (7, 10)
     assert w_prime(13, 3, 12) == (1, 12)
     assert w_prime(14, 4, 13) == (3, 12)
-    assert fibration_rank(13, 7, 12) == 5
-    assert fibration_base(13, 7, 12) == (1, 8)
+    rec = stratum_record(13, 7, 12)
+    assert rec.rank == 5
+    assert rec.base == (1, 8)
     with pytest.raises(NotApplicableError):
         w_prime(13, 1, 12)
     with pytest.raises(NotApplicableError):
-        fibration_rank(13, 4, 10)
+        stratum_record(13, 4, 10)
 
 
 def test_w_prime_iteration_reaches_base():
@@ -165,8 +164,9 @@ def test_w_prime_iteration_reaches_base():
                 lab = w_prime(n, *lab)
                 steps += 1
             assert classify(n, *lab) is StratumClass.DL
-            assert steps == fibration_rank(n, k, l), (n, k, l)
-            assert lab == fibration_base(n, k, l), (n, k, l)
+            rec = stratum_record(n, k, l)
+            assert steps == rec.rank, (n, k, l)
+            assert lab == rec.base, (n, k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_closed_forms_match_generic_to_20():
 def test_closed_form_examples():
     assert s_closed(13, 1, 10) == {5, 6, 7}
     assert s_closed(13, 7, 8) == frozenset()
-    assert j_set(13, 3, 12) == {0, 11, 12}
+    assert stratum_record(13, 3, 12).j_set == {0, 11, 12}
     assert supp_sigma_closed(13, 1, 7) == {0, 1, 2, 3, 4, 7, 8, 9, 10, 11}
 
 
@@ -198,7 +198,7 @@ def test_j_set_commutes_with_stable_subset():
             if classify(n, k, l) is not StratumClass.NOT_DL:
                 continue
             stable = s_closed(n, k, l)
-            for j in j_set(n, k, l):
+            for j in stratum_record(n, k, l).j_set:
                 sj = simple_ref(n, j)
                 for s in stable:
                     ss = simple_ref(n, s)
@@ -207,14 +207,14 @@ def test_j_set_commutes_with_stable_subset():
 
 def test_parahoric_types():
     # non-DL strata decompose over the hyperspecial level
-    assert parahoric_type(13, 3, 12) == frozenset(range(1, 13))
+    assert stratum_record(13, 3, 12).parahoric == frozenset(range(1, 13))
     # the length-zero stratum: shift of the diagram minus {s_0, s_{n-2}}
     for n in range(3, 15):
-        assert parahoric_type(n, 1, 2) == frozenset(range(n)) - {1, n - 1}
+        assert stratum_record(n, 1, 2).parahoric == frozenset(range(n)) - {1, n - 1}
     # the even-rank extra top stratum sits at the diagram minus one node
-    assert parahoric_type(14, 7, 8) == frozenset(range(14)) - {7}
+    assert stratum_record(14, 7, 8).parahoric == frozenset(range(14)) - {7}
     with pytest.raises(NotApplicableError):
-        parahoric_type(5, 2, 4)
+        stratum_record(5, 2, 4)
 
 
 def test_w0_element():
@@ -238,7 +238,7 @@ def test_w0_element():
 def test_dimensions_and_counts():
     for n in range(2, 21):
         assert dim_basic_locus(n) == n - 2
-        assert irr_orbit_count(n) == n // 2
+        assert len(top_strata(n)) == n // 2
 
 
 def test_top_strata_lists():
@@ -253,15 +253,15 @@ def test_dim_stratum_matches_recursive_definition_to_30():
     for n in range(2, 31):
         for (k, l) in sorted(s_admissible(n)):
             if classify(n, k, l) is not StratumClass.EMPTY:
-                assert dim_stratum(n, k, l) == dim_stratum_recursive(n, k, l), (n, k, l)
+                assert stratum_record(n, k, l).dim == dim_stratum_recursive(n, k, l), (n, k, l)
 
 
 def test_dim_examples():
     assert dim_basic_locus(13) == 11
-    assert irr_orbit_count(13) == 6
-    assert dim_stratum(5, 3, 4) == dim_stratum(5, 1, 4) + 1
+    assert len(top_strata(13)) == 6
+    assert stratum_record(5, 3, 4).dim == stratum_record(5, 1, 4).dim + 1
     with pytest.raises(NotApplicableError):
-        dim_stratum(5, 2, 4)
+        stratum_record(5, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,20 @@ def test_geq_s_sigma_matches_componentwise_on_dl(n):
     for a in dl:
         for b in dl:
             assert geq_s_sigma(w_kl(n, *a), w_kl(n, *b)) == closure_leq(b, a), (n, a, b)
+
+
+def test_closure_leq_is_exact_only_below_dl_labels():
+    # the twisted order puts (1,5) below the not-DL (3,4) at n = 5, and (1,6)
+    # below the not-DL (3,5) and the empty (4,5) at n = 6; closure_leq denies
+    # all three, the only disagreements over all ordered pairs at n <= 6
+    for n, a, b in [(5, (1, 5), (3, 4)), (6, (1, 6), (3, 5)), (6, (1, 6), (4, 5))]:
+        assert classify(n, *b) is not StratumClass.DL
+        assert geq_s_sigma(w_kl(n, *b), w_kl(n, *a)) and not closure_leq(a, b)
+    for n in range(2, 7):
+        labels = sorted(s_admissible(n))
+        for b in (b for b in labels if classify(n, *b) is StratumClass.DL):
+            for a in labels:
+                assert geq_s_sigma(w_kl(n, *b), w_kl(n, *a)) == closure_leq(a, b), (n, a, b)
 
 
 def test_geq_s_sigma_example_and_guard():
@@ -353,7 +367,6 @@ def test_stratum_records_cover_every_label():
                 assert rec.j_set is None
             else:
                 assert rec.parahoric == frozenset(range(1, n))
-                assert rec.j_set == j_set(n, k, l)
         # the graph's consumers (graph_summary, classify_dot) rely on its order
         graph = stratum_graph(n)
         assert graph.records == tuple(rec for rec in records
@@ -406,12 +419,11 @@ def test_stratum_graph_small():
 
 
 def test_stratum_graph_record_lookup():
-    g = stratum_graph(13)
-    rec = g.record(7, 12)
-    assert rec.label == (7, 12) and rec.dim == 11
+    by_label = {rec.label: rec for rec in stratum_graph(13).records}
+    rec = by_label[7, 12]
+    assert rec == stratum_record(13, 7, 12) and rec.dim == 11
     assert rec.target == (7, 10) and rec.rank == 5 and rec.base == (1, 8)
-    with pytest.raises(KeyError):
-        g.record(4, 10)
+    assert (4, 10) not in by_label  # empty, so not in the graph
 
 
 def test_golden_figures():

@@ -1,8 +1,10 @@
 """The package namespace: each module's ``__all__`` is its public API."""
 
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import adlv
 from adlv import cli, gu, reduction, roots, weyl
@@ -34,3 +36,10 @@ def test_no_module_holds_a_functools_cache():
               if getattr(value, "__module__", None) == module.__name__
               and hasattr(value, "cache_info")]
     assert cached == []
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "<README library sketch>", "exec"), {})
