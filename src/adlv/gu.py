@@ -369,15 +369,21 @@ def closure_leq(a: StratumLabel | tuple[int, int],
 
 def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
     """Whether w >= u⁻¹ · other · sigma(u) for some finite u (exhaustive over
-    the finite group; guarded to n <= 7)."""
+    the finite group; guarded to n <= 7).  Each twisted conjugate is tested
+    as it is formed, a repeated one is skipped, and the first one below w
+    answers."""
     n = w.n
     if n > 7:
         raise ValueError("exhaustive twisted-order search is limited to n <= 7")
-    conjugates = set()
+    seen = set()
     for perm in itertools.permutations(range(1, n + 1)):
         u = WeylElement(perm)
-        conjugates.add(u.inv() * other * u.sigma())
-    return any(bruhat_leq(c, w) for c in conjugates)
+        c = u.inv() * other * u.sigma()
+        if c not in seen:
+            if bruhat_leq(c, w):
+                return True
+            seen.add(c)
+    return False
 
 
 # ---------------------------------------------------------------------------

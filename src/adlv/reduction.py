@@ -36,10 +36,11 @@ and positive-Coxeter detection share ``_find_twisted_conjugate``: it forms the
 finite window u = r·z·sigma(r)⁻¹ with z = y·sigma(x) from w = x·phi^λ·y and
 stops at the first r whose window passes a window-level predicate (proper
 twisted support, or twisted Coxeter).  ``is_empty_basic_v_form`` walks the
-ideal itself and forms sigma(v)⁻¹·p(w)·v for length-positive v = y⁻¹·r⁻¹ with
-window arithmetic of its own, sharing neither that search nor its predicates.
-Both return the first witness in breadth-first-by-length order, raise
-BudgetExceededError on an overrun, and are compared with the closure in tests.
+ideal itself and, for length-positive v = y⁻¹·r⁻¹, forms sigma(v)⁻¹·p(w)·v
+and tests its twisted support in one finite-permutation kernel of its own
+per node, sharing neither that search nor its predicates.  Both return the
+first witness in breadth-first-by-length order, raise BudgetExceededError on
+an overrun, and are compared with the closure in tests.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .roots import (
     _iter_inv_ideal,
     _proper_twisted_support,
     _sigma_coxeter_window,
-    _supp_sigma_window,
     _twisted_images,
     phi_w,
     supp_sigma,
@@ -519,21 +519,38 @@ def is_empty_basic_v_form(w: WeylElement,
                           budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
     The same criterion with condition (ii) quantified over length-positive
-    elements v = y⁻¹·r⁻¹, testing the finite sigma(v)⁻¹·p(w)·v with window
-    arithmetic independent of ``_find_twisted_conjugate`` and
-    ``_proper_twisted_support``; the witness, when present, is the first v.
+    elements v = y⁻¹·r⁻¹; the witness, when present, is the first v.
+
+    Every v is a permutation of 1..n, so each node of the ideal walk runs
+    one finite-permutation kernel, independent of ``_find_twisted_conjugate``
+    and ``_proper_twisted_support``: v = y⁻¹∘r⁻¹, then v⁻¹, then
+    u(i) = n+1 - v⁻¹(n+1 - p(w)(v(i))), which is sigma(v)⁻¹·p(w)·v because
+    sigma(v)⁻¹(j) = n+1 - v⁻¹(n+1-j).  The letter s_i (1 <= i < n) is missing
+    from supp(u) iff max u(1..i) = i, and supp_sigma(u) is proper iff some i
+    has both s_i and s_(n-i) missing.
     """
     if not _full_twisted_support(w):
         return EmptinessVerdict(False)
     n = w.n
     _, _, y = decompose_xmy(w)
-    yi = _inv(y.window)
-    pw = _finite_part(w.window)
+    # 1-based tables: yi[j] = y⁻¹(j), flip[j] = n+1 - p(w)(j)
+    yi = [0, *_inv(y.window)]
+    flip = [0] + [n + 1 - t for t in _finite_part(w.window)]
+    vi = [0] * (n + 1)
     for _, pos in _iter_inv_ideal(n, phi_w(w), budget):
-        v = _mul(yi, pos)
-        u = _mul(_mul(_inv(_sigma(v)), pw), v)
-        if len(_supp_sigma_window(u, 0)) < n - 1:
-            return EmptinessVerdict(True, WeylElement(v, -y.similitude))
+        v = [yi[q] for q in pos]
+        for i, t in enumerate(v, 1):
+            vi[t] = i
+        u = [n + 1 - vi[flip[t]] for t in v]
+        top = 0
+        gaps = set()  # the i with s_i missing from supp(u)
+        for i in range(1, n):
+            if u[i - 1] > top:
+                top = u[i - 1]
+            if top == i:
+                gaps.add(i)
+        if any(n - i in gaps for i in gaps):
+            return EmptinessVerdict(True, WeylElement(tuple(v), -y.similitude))
     return EmptinessVerdict(False)
 
 

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from adlv import reduction
 from adlv.reduction import (
     ArrowKind,
     BudgetExceededError,
@@ -443,6 +444,36 @@ def test_v_form_budget_overrun_raises():
     assert classify(9, 3, 8) is StratumClass.NOT_DL
     with pytest.raises(BudgetExceededError):
         is_empty_basic_v_form(w, budget=1000)
+    # every node of R(w) counts once: exactly |R(w)| is enough, one less is not
+    assert not is_empty_basic_v_form(w, budget=21_600).empty
+    with pytest.raises(BudgetExceededError):
+        is_empty_basic_v_form(w, budget=21_599)
+
+
+def test_v_form_is_independent_of_the_r_form(monkeypatch):
+    # the v-form is an independent oracle: it must reach its verdicts without
+    # the r-form's search or its support predicate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the v-form called the r-form's machinery")
+    monkeypatch.setattr(reduction, "_find_twisted_conjugate", forbidden)
+    monkeypatch.setattr(reduction, "_proper_twisted_support", forbidden)
+    assert classify(5, 2, 4) is StratumClass.EMPTY
+    assert is_empty_basic_v_form(w_kl(5, 2, 4)).empty
+    assert classify(5, 3, 4) is StratumClass.NOT_DL
+    assert not is_empty_basic_v_form(w_kl(5, 3, 4)).empty
+
+
+@settings(max_examples=150, deadline=None)
+@given(weyl_elements(max_n=6, max_len=12))
+def test_v_form_matches_its_reference_on_minimal_representatives(w):
+    # any minimal coset representative phi^λ·y, not only the w_{k,l}: the
+    # witness is the element-level loop's first v, None when m is not empty
+    _, lam, y = decompose_xmy(w)
+    m = translation(lam) * y
+    verdict = is_empty_basic_v_form(m)
+    assert verdict.empty == is_empty_basic(m).empty
+    want = v_form_reference(m) if len(supp_sigma(m)) == m.n else None
+    assert verdict.witness == want
 
 
 @settings(max_examples=150, deadline=None)
