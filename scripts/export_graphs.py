@@ -16,6 +16,8 @@ def main() -> None:
     ap.add_argument("--n-min", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=14)
     args = ap.parse_args()
+    if args.n_min < 2:
+        ap.error(f"--n-min must be at least 2, got {args.n_min}")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

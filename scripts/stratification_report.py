@@ -15,6 +15,8 @@ def main() -> None:
     ap.add_argument("--n-min", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=20)
     args = ap.parse_args()
+    if args.n_min < 2:
+        ap.error(f"--n-min must be at least 2, got {args.n_min}")
 
     header = f"{'n':>3} {'labels':>7} {'dl':>5} {'not_dl':>7} {'empty':>6} " \
              f"{'dim':>4} {'orbits':>7}  top strata"

@@ -13,8 +13,8 @@ budget of the bounded searches.  Without ``--n-max`` the verify suites check
 oracle n = 2..8, closedforms n = 2..14, reduction n = 5..8 (after its chain
 convention) and figures n = 13, 14.  ``--n-max`` caps every suite but
 ``figures``; a suite whose first rank lies above it checks none of its ranks.
-``classify --format json`` fills one fixed template per stratum; its bytes are
-those of ``json.dumps(..., indent=2)``, and the tests pin them.
+``classify --format json`` fills one fixed template per stratum class; its
+bytes are those of ``json.dumps(..., indent=2)``, and the tests pin them.
 """
 
 from __future__ import annotations
@@ -55,32 +55,39 @@ def _budget() -> int:
 
 _FIELDS = ("k", "l", "class", "length", "dim", "target", "rank", "base",
            "parahoric", "supp_sigma", "s_w_sigma", "positive_coxeter")
-# one stratum laid out as json.dumps(..., indent=2) lays it out in "strata"
-_STRATUM = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _FIELDS)
+_LABEL = '{\n        "k": %d,\n        "l": %d\n      }'
+_NO_FIBRATION = dict(target="null", rank="null", base="null", positive_coxeter="false")
+# one stratum of each class as json.dumps(..., indent=2) lays it out, %s where it varies
+_EMPTY, _DL, _NOT_DL = ("    {\n%s\n    }" % ",\n".join(
+    f'      "{key}": {fixed.get(key, "%s")}' for key in _FIELDS) for fixed in (
+        {"class": '"empty"', "dim": "null", "parahoric": "null", **_NO_FIBRATION},
+        {"class": '"dl"', **_NO_FIBRATION},
+        {"class": '"not_dl"', "target": _LABEL, "base": _LABEL}))
 
 
-def _json_label(lab: Optional[StratumLabel]) -> str:
-    return "null" if lab is None else '{\n        "k": %d,\n        "l": %d\n      }' % lab
+class _IntLists(dict):
+    """Each integer set's JSON list, formatted on its first lookup."""
+    def __missing__(self, s: frozenset[int]) -> str:
+        self[s] = "[\n        " + ",\n        ".join(map(str, sorted(s))) + "\n      ]"
+        return self[s]
 
 
 def classify_json(n: int) -> str:
     """The JSON text of every label's closed-form record, one template per
-    stratum; byte for byte what ``json.dumps(..., indent=2)`` writes."""
-    sets: dict[Optional[frozenset[int]], str] = {None: "null", frozenset(): "[]"}
-
-    def ints(s: Optional[frozenset[int]]) -> str:
-        if s not in sets:
-            sets[s] = "[\n        " + ",\n        ".join(map(str, sorted(s))) + "\n      ]"
-        return sets[s]
-
-    strata = [_STRATUM % (
-        rec.label.k, rec.label.l, f'"{rec.stratum_class.value}"', rec.length,
-        "null" if rec.dim is None else rec.dim, _json_label(rec.target),
-        "null" if rec.rank is None else rec.rank, _json_label(rec.base),
-        ints(rec.parahoric), ints(rec.supp_sigma), ints(rec.s_w_sigma),
-        "true" if rec.positive_coxeter else "false",
-    ) for rec in gu.stratum_records(n)]
-    return '{\n  "schema": 1,\n  "n": %d,\n  "strata": [\n%s\n  ]\n}' % (n, ",\n".join(strata))
+    stratum class; byte for byte what ``json.dumps(..., indent=2)`` writes."""
+    ints, empty, dl = _IntLists({frozenset(): "[]"}), StratumClass.EMPTY, StratumClass.DL
+    strata = [
+        _EMPTY % (k, l, length, ints[supp], ints[stable]) if cls is empty
+        else _DL % (k, l, length, dim, ints[parahoric], ints[supp], ints[stable])
+        if cls is dl
+        else _NOT_DL % (k, l, length, dim, *target, rank, *base, ints[parahoric], ints[supp],
+                        ints[stable], "true" if pos else "false")
+        for (k, l), cls, length, supp, stable, dim, target, rank, base, parahoric, _, pos
+        in gu.stratum_records(n)]
+    # the head and tail ride on the first and last stratum: one join, no other copy
+    strata[0] = '{\n  "schema": 1,\n  "n": %d,\n  "strata": [\n' % n + strata[0]
+    strata[-1] += "\n  ]\n}"
+    return ",\n".join(strata)
 
 
 def _fmt_set(s: Optional[Iterable[int]]) -> str:

@@ -15,15 +15,11 @@ order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
 
-The closed forms of a label live in one place: ``_build_record`` branches on
-the class and the not-DL sub-case (never on the parity of n) and fills a
-whole ``StratumRecord``, for empty labels too, where only the class-free
-supports and stable set (``supp_sigma_closed``, ``s_closed``) are defined.
-``stratum_record`` is the one per-label entry point; ``stratum_records``,
-which ``stratum_graph`` filters, classifies each label once and builds each
-distinct set once per call for all to share.  Two per-field readers remain,
-``w_prime`` and ``positive_coxeter_closed``, because the benchmark traces and
-calls them by name; each raises NotApplicableError off the not-DL labels.
+The closed forms of a label live in one place, the record loop ``_records``,
+which fills a whole ``StratumRecord`` per label, for empty labels too (only
+the supports and stable set are defined there).  ``stratum_records`` runs it
+on all labels, ``stratum_graph`` on the nonempty ones, and ``stratum_record``,
+``w_prime`` and ``positive_coxeter_closed`` on one label.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import enum
 import itertools
 import json
 from importlib import resources
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .weyl import (
     WeylElement,
@@ -248,17 +244,6 @@ def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     return frozenset(range(l - 2)).union(range(n - l + 1, n - (k == 1)))
 
 
-def _s_bounds(n: int, k: int, l: int) -> tuple[int, int, bool]:
-    """``s_closed``'s interval ends lo, hi and whether its odd letters join."""
-    if 2 * l <= n + 2:
-        lo, hi = l - 1, n - l
-    elif 2 * k <= n:
-        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
-    else:
-        lo, hi = n - k + 2, k - 1
-    return lo, hi, l == k + 1 and lo % 2 == 1 and 2 * k != n + 1
-
-
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the largest Ad(w_{k,l})sigma-stable set of finite
     simple reflections, on every label (``roots.s_w_sigma`` is its oracle).
@@ -271,76 +256,83 @@ def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     [1, 3, 5, 6, 7, 9, 11]
     """
     _check_label(n, k, l)
-    lo, hi, odd = _s_bounds(n, k, l)
+    if 2 * l <= n + 2:
+        lo, hi = l - 1, n - l
+    elif 2 * k <= n:
+        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
+    else:
+        lo, hi = n - k + 2, k - 1
     out = frozenset(range(lo, hi))
-    if odd:
+    if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
         out |= frozenset(range(1, lo - 1, 2)) | frozenset(range(n - 1, hi, -2))
     return out
 
 
-def _build_record(n: int, label: StratumLabel, cls: StratumClass, sets: dict) -> StratumRecord:
-    """The record of a label of class ``cls``.  Each set is read from
-    ``sets`` under the parameters its closed form depends on, and built on
-    the first miss."""
-    k, l = label
-    # the support's two runs meet once 2l >= n+3; past that l no longer matters
-    supp_key, stable_key = ("supp", min(l, (n + 4) // 2), k == 1), _s_bounds(n, k, l)
-    if (supp := sets.get(supp_key)) is None:
-        supp = sets[supp_key] = supp_sigma_closed(n, k, l)
-    if (stable := sets.get(stable_key)) is None:
-        stable = sets[stable_key] = s_closed(n, k, l)
-    length = k + l - 3
-    if cls is StratumClass.EMPTY:
-        return StratumRecord(label, cls, length, supp, stable)
-    if cls is StratumClass.DL:
-        if (parahoric := sets.get((supp_key, stable_key))) is None:
-            parahoric = sets[supp_key, stable_key] = frozenset(
-                (i + 1) % n for i in supp | stable)
-        return StratumRecord(label, cls, length, supp, stable, dim=length, parahoric=parahoric)
-    near = k + l <= n + 2  # else k-2 joins the letters
-    if near:
-        target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, StratumLabel(1, l)
-    else:
-        target = StratumLabel(k - 1, l - 1) if k + l == n + 3 else StratumLabel(k, l - 2)
-        rank, base = k + (l - n - 3) // 2, StratumLabel(1, n - k + 2)
-    if (parahoric := sets.get("hyperspecial")) is None:
-        parahoric = sets["hyperspecial"] = frozenset(range(1, n))
-    if (letters := sets.get(("j_set", k, near))) is None:
-        letters = sets["j_set", k, near] = frozenset(range(k - 1 - near)).union(
-            range(n - k + 1, n))
-    return StratumRecord(label, cls, length, supp, stable, base.l - 2 + rank, target, rank,
-                         base, parahoric, letters, k == (n + 1) // 2 or l == (n + 4) // 2)
-
-
-_NONEMPTY = frozenset({StratumClass.DL, StratumClass.NOT_DL})
-_NOT_DL = frozenset({StratumClass.NOT_DL})
-
-
-def _record(n: int, k: int, l: int, allowed: frozenset[StratumClass],
-            what: str) -> StratumRecord:
-    """Classify once and return the record, or raise NotApplicableError when
-    the class is not ``allowed`` (``what`` names the datum asked for)."""
-    cls = classify(n, k, l)
-    if cls not in allowed:
-        raise NotApplicableError(f"{what} is undefined on the {cls.value} label ({k},{l})")
-    return _build_record(n, StratumLabel(k, l), cls, {})
+def _records(n: int, labels: Iterable[StratumLabel], keep: tuple = tuple(StratumClass),
+             what: Optional[str] = None) -> list[StratumRecord]:
+    """The records of ``labels`` in order, one ``classify`` each.  A label of a
+    class not in ``keep`` is dropped before any of its sets is built, or raises
+    NotApplicableError when ``what`` names a datum asked of it.  Each set kind
+    has a dict keyed by an int that fixes the set; equal stable sets share one."""
+    empty, dl, cap, out = StratumClass.EMPTY, StratumClass.DL, (n + 4) // 2, []
+    hyperspecial = frozenset(range(1, n))
+    supps, stables, parahorics, letter_sets, distinct = {}, {}, {}, {}, {}
+    for label in labels:
+        k, l = label
+        if (cls := classify(n, k, l)) not in keep:
+            if what:
+                raise NotApplicableError(f"{what} is undefined on the {cls.value} "
+                                         f"label ({k},{l})")
+            continue
+        key = (l if l < cap else cap) * 2 + (k == 1)  # the runs meet once 2l >= n+3
+        if (supp := supps.get(key)) is None:
+            supp = supps[key] = supp_sigma_closed(n, k, l)
+        # l fixes the stable set when k+l <= n+1, else k; odd letters join only at l = k+1
+        key = (l if k + l <= n + 1 else -k) * 2 + (l == k + 1)
+        if (stable := stables.get(key)) is None:
+            stable = stables[key] = distinct.setdefault(stable := s_closed(n, k, l), stable)
+        length = k + l - 3
+        if cls is empty:
+            out.append(StratumRecord(label, cls, length, supp, stable))
+        elif cls is dl:
+            key = key * 2 + (k == 1)  # DL labels have k+l <= n+1: the stable key holds l
+            if (parahoric := parahorics.get(key)) is None:
+                parahoric = parahorics[key] = frozenset((i + 1) % n for i in supp | stable)
+            out.append(StratumRecord(label, cls, length, supp, stable, length, None, None,
+                                     None, parahoric))
+        else:
+            near = k + l <= n + 2  # else k-2 joins the letters
+            if near:
+                target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, l
+            else:
+                target = (StratumLabel(k - 1, l - 1) if k + l == n + 3
+                          else StratumLabel(k, l - 2))
+                rank, base = k + (l - n - 3) // 2, n - k + 2
+            if (letters := letter_sets.get(key := k * 2 + near)) is None:
+                letters = letter_sets[key] = frozenset(range(k - 1 - near)).union(
+                    range(n - k + 1, n))
+            out.append(StratumRecord(label, cls, length, supp, stable, base - 2 + rank, target,
+                                     rank, StratumLabel(1, base), hyperspecial, letters,
+                                     k == (n + 1) // 2 or l == cap))
+    return out
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:
     """The closed-form record of a nonempty label (fields: ``StratumRecord``),
     the one per-label entry point; NotApplicableError on an empty label."""
-    return _record(n, k, l, _NONEMPTY, "the stratum record")
+    return _records(n, (StratumLabel(k, l),), (StratumClass.DL, StratumClass.NOT_DL),
+                    "the stratum record")[0]
 
 
 def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
-    sets: dict = {}
-    return [_build_record(n, lab, classify(n, *lab), sets) for lab in _labels(n)]
+    return _records(n, _labels(n))
 
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
     """One-step fibration target of a non-DL stratum."""
-    return _record(n, k, l, _NOT_DL, "the fibration target").target
+    return _records(n, (StratumLabel(k, l),), (StratumClass.NOT_DL,),
+                    "the fibration target")[0].target
 
 
 def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
@@ -350,7 +342,8 @@ def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
     ...  [(13, 7, 10), (12, 6, 9), (13, 3, 8), (12, 3, 8), (13, 3, 12)]]
     [True, True, True, True, False]
     """
-    return _record(n, k, l, _NOT_DL, "positive-Coxeter detection").positive_coxeter
+    return _records(n, (StratumLabel(k, l),), (StratumClass.NOT_DL,),
+                    "positive-Coxeter detection")[0].positive_coxeter
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +392,7 @@ class StratumGraph(NamedTuple):
 def stratum_graph(n: int) -> StratumGraph:
     """All nonempty strata with their records, plus the fibration arrows
     (records in label order, so the arrows come out sorted)."""
-    records = tuple(rec for rec in stratum_records(n)
-                    if rec.stratum_class is not StratumClass.EMPTY)
+    records = tuple(_records(n, _labels(n), (StratumClass.DL, StratumClass.NOT_DL)))
     edges = tuple((rec.label, rec.target) for rec in records if rec.target is not None)
     return StratumGraph(n, records, edges)
 

@@ -5,6 +5,7 @@ import json
 import re
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,30 +196,75 @@ def test_classify_dot_n200_is_pinned():
         "4fb7d5ee56fb8c354e962e0ec5874655798cfd8f6478ac3d2d0f7a9eaa2d540c")
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *argv):
+    """Run a script in this process; its exit code (0 when it returns) and output."""
+    script = SCRIPTS / name
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):
     # the script and `adlv classify` write through one function
-    script = Path(__file__).resolve().parents[1] / "scripts" / "export_graphs.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path),
-                                      "--n-min", "2", "--n-max", "6"])
-    runpy.run_path(str(script), run_name="__main__")
-    capsys.readouterr()
+    assert run_script(monkeypatch, capsys, "export_graphs.py", "--out-dir",
+                      str(tmp_path), "--n-min", "2", "--n-max", "6")[0] == 0
     for n in range(2, 7):
         for fmt in ("dot", "json"):
             code, out, _ = run_cli(capsys, "classify", "--n", str(n), "--format", fmt)
             assert code == 0
             assert (tmp_path / f"strata_n{n}.{fmt}").read_bytes() == out.encode()
+    # a rank below 2 is a usage error, not a traceback, and writes nothing
+    below = tmp_path / "below"
+    code, _, err = run_script(monkeypatch, capsys, "export_graphs.py", "--out-dir",
+                              str(below), "--n-min", "1", "--n-max", "3")
+    assert code == 2 and "usage:" in err and "--n-min must be at least 2" in err
+    assert not below.exists()
 
 
 def test_stratification_report_script(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "stratification_report.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--n-min", "2", "--n-max", "8"])
-    runpy.run_path(str(script), run_name="__main__")
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    code, out, _ = run_script(monkeypatch, capsys, "stratification_report.py",
+                              "--n-min", "2", "--n-max", "8")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[2:]]
     assert [int(row[0]) for row in rows] == list(range(2, 9))
     for row in rows:
         n, labels, dl, not_dl, empty, dim, orbits = map(int, row[:7])
         assert labels == dl + not_dl + empty == n * (n - 1) // 2
         assert (dim, orbits) == (n - 2, n // 2)
+    code, out, err = run_script(monkeypatch, capsys, "stratification_report.py",
+                                "--n-min", "1", "--n-max", "3")
+    assert code == 2 and out == ""
+    assert "usage:" in err and "--n-min must be at least 2" in err
+
+
+def test_classify_ceiling_script(monkeypatch, capsys):
+    # one `adlv classify` child per format; its bytes are those classify writes
+    code, out, _ = run_script(monkeypatch, capsys, "classify_ceiling.py", "--n", "5")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["5", "json"], ["5", "dot"]]
+    for _, fmt, seconds, peak_mb, size in rows:
+        assert float(seconds) > 0 and float(peak_mb) > 0
+        assert int(size) == len(cli.classify_text(5, fmt).encode())
+
+
+def test_classify_json_holds_at_most_two_copies_of_its_text():
+    # the per-stratum strings and their one join; no third, wrapped copy
+    tracemalloc.start()
+    try:
+        text = cli.classify_json(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * len(text)
 
 
 def test_classify_classifies_each_label_once(monkeypatch):
