@@ -30,6 +30,7 @@ from .weyl import from_word
 
 USAGE_ERROR = 2
 UNDECIDED = 3  # a verify check ran out of search budget
+_WRITE_SLICE = 1 << 20  # characters per stdout write of `adlv classify`
 
 REPORT_FIELDS = ("window", "length", "omega", "supp_sigma", "s_w_sigma",
                  "phi_w_size", "lp_size", "empty", "witness")
@@ -131,18 +132,27 @@ def classify_dot(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _classify_parts(n: int, fmt: str) -> tuple[str, str]:
+    """The rendered body of ``adlv classify`` and the end written after it."""
+    if fmt == "dot":
+        return classify_dot(n), ""
+    return (classify_json(n) if fmt == "json" else classify_table(n)), "\n"
+
+
 def classify_text(n: int, fmt: str) -> str:
     """The exact text ``adlv classify --n n --format fmt`` writes."""
-    if fmt == "dot":
-        return classify_dot(n)
-    return (classify_json(n) if fmt == "json" else classify_table(n)) + "\n"
+    return "".join(_classify_parts(n, fmt))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.n < 2:
         print(f"n must be at least 2, got {args.n}", file=sys.stderr)
         return USAGE_ERROR
-    sys.stdout.write(classify_text(args.n, args.format))
+    body, end = _classify_parts(args.n, args.format)
+    # neither the end nor the encoding of standard output copies the whole body
+    for start in range(0, len(body), _WRITE_SLICE):
+        sys.stdout.write(body[start:start + _WRITE_SLICE])
+    sys.stdout.write(end)
     return 0
 
 

@@ -8,13 +8,16 @@ length is preserved or drops by two.  Chains of arrows are written in
 superscript order: the word (a_k, ..., a_1, a_0) means "apply s_{a_0} first,
 then s_{a_1}, ...", i.e. the input list is consumed right to left.  Equal
 length elements connected by arrows form classes explored by one bounded,
-resumable breadth-first walk, ``_class_walk``: a generator that yields every
-admitted arrow leaving a class node, building only those images, and records
-parents at discovery.  ``approx_equiv`` stops at the arrow reaching the other
-element; ``find_reduction`` stops at the first length drop into the target's
-class, advancing the target's own walk only as far as each drop needs.
-Running out of budget raises (it is never reported as "not equivalent" or
-"no reduction").
+resumable breadth-first walk, ``_class_walk``: a generator that handles one
+class node at a time.  It reads each arrow's length change off two descents
+of the node (Deodhar's lemma), builds only the images of arrows that keep or
+drop length, records the same-length images as parents at discovery, and
+yields the node once with its drops, the arrows that lower length by two.
+``approx_equiv`` stops after the node that discovers the other element;
+``find_reduction`` stops at the first drop into the target's class,
+advancing the target's own walk node by node only as far as each drop
+needs.  Running out of budget raises (it is never reported as "not
+equivalent" or "no reduction").
 
 ``is_empty_basic`` decides emptiness of the basic-locus piece attached to a
 minimal coset representative w = phi^λ·y: the piece is empty iff
@@ -214,36 +217,40 @@ Window = tuple[int, ...]
 
 def _class_walk(start: Window, budget: int, letters: Sequence[int],
                 parents: dict[Window, Optional[tuple[Window, int]]]
-                ) -> Iterator[tuple[Window, int, Window, int]]:
+                ) -> Iterator[tuple[Window, list[tuple[int, Window]]]]:
     """
     Breadth-first walk of the equal-length class of ``start`` under
-    length-preserving arrows by the given letters.  Each window is entered
-    in ``parents`` when first discovered (the root maps to None, any other
-    window to its parent and the letter leading to it), and every arrow
-    ``(node, letter, image, length change)`` leaving a class node that does
-    not raise length is yielded right after that bookkeeping, so a consumer
-    may stop at any arrow and resume later.  Visiting more than ``budget``
-    nodes raises BudgetExceededError.
+    length-preserving arrows by the given letters, one node at a time.  For
+    each node it visits, it enters the node's same-length images not yet
+    seen in ``parents`` (the root maps to None, any other window to its
+    parent and the letter leading to it), then yields ``(node, drops)``:
+    the pairs ``(letter, image)``, in letter order, whose arrow lowers
+    length by two.  A consumer may stop after any node and resume later.
+    Visiting more than ``budget`` nodes raises BudgetExceededError.
 
-    The arrow by s_i is w -> s_i·w·s_j with j = n - i (mod n): the right
-    action swaps the slots x, y (x = n-1, y = 0 with a shift by n when
-    j = 0) and changes length by -1 iff w(x) - shift > w(y); the left
-    action then moves the values of residues i and i+1 (mod n), at slots p
-    and q, up and down by one and changes length by -1 iff
-    p - u(p) > q - u(q) + 1 on the swapped window u.  The slots of the
-    residues are read once per node, and only an arrow that does not raise
-    length builds its image.
+    The arrow by s_i is w -> s_i·w·s_j with j = n - i (mod n), and by
+    Deodhar's lemma two descents of w decide its length change: s_i on the
+    left, i.e. w⁻¹(i) > w⁻¹(i+1), read off the slots p and q of the
+    residues i and i+1 as p - w(p) > q - w(q) + 1; s_j on the right, i.e.
+    a > b with a = w(x) - shift and b = w(y) for the slots x, y of s_j
+    (x = n-1, y = 0 with a shift by n when j = 0).  Exactly one descent
+    keeps the length; two drop it by two unless s_i·w·s_j = w, i.e.
+    a = b + 1 with b ≡ i; two ascents raise it or loop.  Only a kept or
+    dropping arrow builds its image: move the values at p and q up and
+    down by one, then swap the slots x, y.  The letter that led to a node
+    is skipped, since the arrow is an involution and its image is the
+    node's parent.
     """
     n = len(start)
     # per letter: the residues i and i + 1, the slots x, y and the shift
     steps = [(0, 1, n - 1, 0, n) if i == 0 else (i, (i + 1) % n, n - i - 1, n - i, 0)
              for i in letters]
     parents[start] = None
-    queue = deque([start])
+    queue = deque([(start, -1)])
     visited = 0
     pos = [0] * n
     while queue:
-        cur = queue.popleft()
+        cur, came = queue.popleft()
         visited += 1
         if visited > budget:
             raise BudgetExceededError(
@@ -251,26 +258,27 @@ def _class_walk(start: Window, budget: int, letters: Sequence[int],
                 f"at depth {len(_path_letters(parents, cur))}")
         for p, v in enumerate(cur):
             pos[v % n] = p
+        drops = []
         for i, i1, x, y, shift in steps:
-            ux, uy = cur[y] + shift, cur[x] - shift
-            change = -1 if uy > cur[y] else 1
+            if i == came:
+                continue
+            a, b = cur[x] - shift, cur[y]
             p, q = pos[i], pos[i1]
-            p = y if p == x else x if p == y else p
-            q = y if q == x else x if q == y else q
-            up = ux if p == x else uy if p == y else cur[p]
-            uq = ux if q == x else uy if q == y else cur[q]
-            change += -1 if p - up > q - uq + 1 else 1
-            if change > 0:
+            left = p - cur[p] > q - cur[q] + 1
+            drop = left == (a > b)
+            if drop and (not left or a == b + 1 and p == y):
                 continue
             out = list(cur)
-            out[x], out[y] = ux, uy
             out[p] += 1
             out[q] -= 1
+            out[x], out[y] = out[y] + shift, out[x] - shift
             image = tuple(out)
-            if change == 0 and image not in parents:
+            if drop:
+                drops.append((i, image))
+            elif image not in parents:
                 parents[image] = (cur, i)
-                queue.append(image)
-            yield cur, i, image, change
+                queue.append((image, i))
+        yield cur, drops
 
 
 def _path_letters(parents, node) -> list[int]:
@@ -291,10 +299,9 @@ def approx_equiv(w: WeylElement, other: WeylElement,
     if (w.length() != other.length() or w.similitude != other.similitude
             or w.omega() != other.omega()):
         return False
-    goal = other.window
-    return w.window == goal or any(
-        image == goal
-        for _, _, image, _ in _class_walk(w.window, budget, range(w.n), {}))
+    parents: dict[Window, Optional[tuple[Window, int]]] = {}
+    return w.window == other.window or any(
+        other.window in parents for _ in _class_walk(w.window, budget, range(w.n), parents))
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,8 +347,8 @@ def find_reduction(w: WeylElement, target: WeylElement,
 
     The source's class is walked breadth first until the first drop whose
     image lies in the target's class, and the target's walk is advanced,
-    for each drop, only until that image is discovered or the class is
-    exhausted; the certificate is the one that exhausting the target's
+    for each drop, node by node until that image is discovered or the class
+    is exhausted; the certificate is the one that exhausting the target's
     class first would give.  ``budget`` bounds the nodes each walk actually
     visits, so a target class larger than the budget is no obstacle when the
     image is found early; an overrun raises BudgetExceededError and is never
@@ -372,27 +379,22 @@ def find_reduction(w: WeylElement, target: WeylElement,
     target_parents: dict[Window, Optional[tuple[Window, int]]] = {}
     target_walk = _class_walk(target.window, budget, letters, target_parents)
     source_parents: dict[Window, Optional[tuple[Window, int]]] = {}
-    for pivot, s, dropped, change in _class_walk(w.window, budget, letters,
-                                                 source_parents):
-        if change == 0:
-            continue
-        while dropped not in target_parents and next(target_walk, None):
-            pass
-        if dropped in target_parents:
-            break
-    else:
-        return None
-    sim = w.similitude
-    return ReductionCertificate(
-        source=w,
-        to_pivot=tuple(reversed(_path_letters(source_parents, pivot))),
-        pivot=WeylElement(pivot, sim),
-        s=s,
-        dropped=WeylElement(dropped, sim),
-        to_target=tuple(_path_letters(target_parents, dropped)),
-        target=target,
-        level=level,
-    )
+    for pivot, drops in _class_walk(w.window, budget, letters, source_parents):
+        for s, dropped in drops:
+            while dropped not in target_parents and next(target_walk, None):
+                pass
+            if dropped in target_parents:
+                return ReductionCertificate(
+                    source=w,
+                    to_pivot=tuple(reversed(_path_letters(source_parents, pivot))),
+                    pivot=WeylElement(pivot, w.similitude),
+                    s=s,
+                    dropped=WeylElement(dropped, w.similitude),
+                    to_target=tuple(_path_letters(target_parents, dropped)),
+                    target=target,
+                    level=level,
+                )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -221,34 +221,44 @@ def level_is_stable_oracle(w: WeylElement, level: frozenset[int]) -> bool:
     return image == set(level)
 
 
+def class_walk_reference(start: WeylElement, letters, parents: dict):
+    """
+    The equal-length class of ``start`` by its definition on elements:
+    breadth first under the arrows x -> s_i·x·sigma(s_i), each product
+    formed and measured, letters in the given order, and every image of
+    unchanged length entered in ``parents`` at discovery (the root maps to
+    None, any other element to its parent and letter).  Yields every arrow
+    (x, i, image, length change), raising ones included.
+    """
+    n = start.n
+    parents[start] = None
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for i in letters:
+            s = simple_ref(n, i)
+            image = s * x * s.sigma()
+            change = image.length() - x.length()
+            if change == 0 and image not in parents:
+                parents[image] = (x, i)
+                queue.append(image)
+            yield x, i, image, change
+
+
 def reduction_search_reference(w: WeylElement, target: WeylElement,
                                level: frozenset[int] | None = None):
     """
     The reduction certificate of w onto ``target`` by its definition on
-    elements: exhaust the target's equal-length class breadth first under
-    the arrows x -> s_i·x·sigma(s_i) (letters ascending, parents recorded at
-    discovery), then walk the source's class the same way up to the first
-    arrow that drops length by two into it.  Only letters outside ``level``
-    and commuting with it are used.  Returns (to_pivot, pivot, s, dropped,
-    to_target), both words in superscript order, or None.
+    elements: exhaust the target's equal-length class with
+    ``class_walk_reference`` (letters ascending), then walk the source's
+    class the same way up to the first arrow that drops length by two into
+    it.  Only letters outside ``level`` and commuting with it are used.
+    Returns (to_pivot, pivot, s, dropped, to_target), both words in
+    superscript order, or None.
     """
     n = w.n
     letters = [i for i in range(n)
                if level is None or commutes_with_level_oracle(n, i, level)]
-
-    def walk(start, parents):
-        parents[start] = None
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for i in letters:
-                s = simple_ref(n, i)
-                image = s * x * s.sigma()
-                change = image.length() - x.length()
-                if change == 0 and image not in parents:
-                    parents[image] = (x, i)
-                    queue.append(image)
-                yield x, i, image, change
 
     def path(parents, x):
         out = []
@@ -258,10 +268,10 @@ def reduction_search_reference(w: WeylElement, target: WeylElement,
         return out[::-1]
 
     target_parents: dict = {}
-    for _ in walk(target, target_parents):
+    for _ in class_walk_reference(target, letters, target_parents):
         pass
     source_parents: dict = {}
-    for x, i, image, change in walk(w, source_parents):
+    for x, i, image, change in class_walk_reference(w, letters, source_parents):
         if change == -2 and image in target_parents:
             return (tuple(reversed(path(source_parents, x))), x, i, image,
                     tuple(path(target_parents, image)))

@@ -267,6 +267,26 @@ def test_classify_json_holds_at_most_two_copies_of_its_text():
     assert peak <= 3.0 * len(text)
 
 
+@pytest.mark.parametrize("fmt", ["json", "table", "dot"])
+def test_classify_writes_its_text_in_slices(monkeypatch, fmt):
+    # no stdout write copies the whole text: the body goes out in slices,
+    # the final newline on its own
+    writes = []
+
+    class Recorder:
+        def write(self, s):
+            writes.append(s)
+            return len(s)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert cli.main(["classify", "--n", "60", "--format", fmt]) == 0
+    text = cli.classify_text(60, fmt)
+    assert "".join(writes) == text
+    assert max(map(len, writes)) <= cli._WRITE_SLICE == 1 << 20
+    # n = 60 JSON is 2.7 MB, so it takes several writes
+    assert fmt != "json" or len(writes) > 2
+
+
 def test_classify_classifies_each_label_once(monkeypatch):
     # one classification per label in the graph, the DOT and the JSON
     calls = []

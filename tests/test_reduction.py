@@ -28,13 +28,14 @@ from adlv.reduction import (
     _class_walk,
     _tiered_witness,
 )
-from adlv.roots import inv_set, lp_set, phi_w, supp_sigma
+from adlv.roots import DEFAULT_BUDGET, inv_set, lp_set, phi_w, supp_sigma
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
 from adlv.gu import (StratumClass, classify, s_admissible, s_closed, tau_element, w_kl,
                      w_prime)
 
 from conftest import (
+    class_walk_reference,
     commutes_with_level_oracle,
     level_is_stable_oracle,
     one_letter_per_orbit,
@@ -100,21 +101,43 @@ def test_arrow_length_step_is_zero_or_minus_two(w, data):
 
 @given(weyl_elements(max_n=9, max_len=10))
 def test_incremental_conjugation_delta(w):
-    # the arrows the walk yields out of its root are exactly the letters
-    # whose conjugation does not raise length, each with the image and the
-    # length change of the full element product; budget 1 ends the walk
-    # when it would leave the root
-    arrows, parents = [], {}
+    # the root's drops are exactly the letters whose conjugation lowers
+    # length, each with the image of the full element product, and every
+    # other image of the root's length is in parents, reached by the first
+    # letter that gives it; budget 1 ends the walk when it would leave the
+    # root
+    nodes, parents = [], {}
     with contextlib.suppress(BudgetExceededError):
-        arrows.extend(_class_walk(w.window, 1, range(w.n), parents))
-    expected = []
+        nodes.extend(_class_walk(w.window, 1, range(w.n), parents))
+    drops, kept = [], {}
     for i in range(w.n):
         t = conj_by_simple(w, i)
-        if t.length() <= w.length():
-            expected.append((w.window, i, t.window, t.length() - w.length()))
-    assert arrows == expected
-    assert set(parents) == {w.window} | {image for _, _, image, change in arrows
-                                         if change == 0}
+        if t.length() < w.length():
+            drops.append((i, t.window))
+        elif t.length() == w.length() and t != w:
+            kept.setdefault(t.window, (w.window, i))
+    assert nodes == [(w.window, drops)]
+    assert parents == {w.window: None, **kept}
+
+
+@given(weyl_elements(max_n=7, max_len=10), st.data())
+def test_class_walk_matches_its_reference(w, data):
+    # over a whole class, with all letters or a subset: the same nodes in
+    # the same order, the same parents map and, node by node, the same
+    # drops as the element-level walk
+    letters = range(w.n)
+    if data.draw(st.booleans()):
+        letters = sorted(data.draw(st.sets(st.integers(0, w.n - 1), min_size=1)))
+    parents, ref_parents, ref_drops = {}, {}, {}
+    nodes = list(_class_walk(w.window, DEFAULT_BUDGET, letters, parents))
+    for x, i, image, change in class_walk_reference(w, letters, ref_parents):
+        drops = ref_drops.setdefault(x.window, [])
+        if change == -2:
+            drops.append((i, image.window))
+    assert nodes == list(ref_drops.items())
+    assert list(parents.items()) == [
+        (x.window, None if p is None else (p[0].window, p[1]))
+        for x, p in ref_parents.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +322,23 @@ def test_find_reduction_budget_bounds_visited_nodes():
     with pytest.raises(BudgetExceededError,
                        match=r"^equal-length class search exceeded 1000 nodes"):
         find_reduction(w, target, budget=1000)
+
+
+@pytest.mark.parametrize("n, k, l, leveled, budget, depth", [
+    (11, 6, 10, False, 2276, 11),
+    (11, 5, 10, True, 506, 9),  # level s_closed = {5}
+])
+def test_find_reduction_needs_exactly_its_budget(n, k, l, leveled, budget, depth):
+    # the smallest budget that finds each certificate pins the nodes the
+    # walks visit: a walk that skipped or added one would move it
+    w, target = w_kl(n, k, l), w_kl(n, *w_prime(n, k, l))
+    level = s_closed(n, k, l) if leveled else None
+    cert = find_reduction(w, target, budget=budget, level=level)
+    assert cert == find_reduction(w, target, level=level) and cert.verify()
+    with pytest.raises(BudgetExceededError,
+                       match=rf"^equal-length class search exceeded {budget - 1} "
+                             rf"nodes at depth {depth}$"):
+        find_reduction(w, target, budget=budget - 1, level=level)
 
 
 def test_find_reduction_rejects_illegal_levels():
