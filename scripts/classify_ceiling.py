@@ -3,7 +3,7 @@
 
 Usage: python scripts/classify_ceiling.py [--n 100 200]
 
-For each rank and each of the formats json and dot, the command
+For each rank and each of the formats json, dot and table, the command
 `python -m adlv.cli classify --n N --format F` runs in a child process with
 its output sent to /dev/null.  The child's own peak RSS comes from os.wait4,
 its time from the parent's clock around it.  One row per run gives n, the
@@ -23,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-FORMATS = ("json", "dot")
+FORMATS = ("json", "dot", "table")
 
 
 def run(n: int, fmt: str, env: dict) -> tuple[float, float]:

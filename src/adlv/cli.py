@@ -13,19 +13,22 @@ budget of the bounded searches.  Without ``--n-max`` the verify suites check
 oracle n = 2..8, closedforms n = 2..14, reduction n = 5..8 (after its chain
 convention) and figures n = 13, 14.  ``--n-max`` caps every suite but
 ``figures``; a suite whose first rank lies above it checks none of its ranks.
-``classify --format json`` fills one fixed template per stratum class; its
-bytes are those of ``json.dumps(..., indent=2)``, and the tests pin them.
+Every ``classify`` format writes a stratum as its row arrives from
+``gu._rows``, with no record.  ``--format json`` fills one fixed template per
+stratum class; its bytes are those of ``json.dumps(..., indent=2)``, and the
+tests pin them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Callable, Collection, Iterable, Optional
 
 from . import gu, reduction, roots
-from .gu import StratumClass, StratumLabel
+from .gu import StratumClass
 from .weyl import from_word
 
 USAGE_ERROR = 2
@@ -59,55 +62,54 @@ _FIELDS = ("k", "l", "class", "length", "dim", "target", "rank", "base",
 _LABEL = '{\n        "k": %d,\n        "l": %d\n      }'
 _NO_FIBRATION = dict(target="null", rank="null", base="null", positive_coxeter="false")
 # one stratum of each class as json.dumps(..., indent=2) lays it out, %s where it varies
-_EMPTY, _DL, _NOT_DL = ("    {\n%s\n    }" % ",\n".join(
+_JSON_EMPTY, _JSON_DL, _JSON_NOT_DL = ("    {\n%s\n    }" % ",\n".join(
     f'      "{key}": {fixed.get(key, "%s")}' for key in _FIELDS) for fixed in (
         {"class": '"empty"', "dim": "null", "parahoric": "null", **_NO_FIBRATION},
         {"class": '"dl"', **_NO_FIBRATION},
         {"class": '"not_dl"', "target": _LABEL, "base": _LABEL}))
+# bound once: an Enum class-attribute read costs a quarter of a classify call
+_DL, _NOT_DL, _EMPTY = StratumClass.DL, StratumClass.NOT_DL, StratumClass.EMPTY
 
 
-class _IntLists(dict):
-    """Each integer set's JSON list, formatted on its first lookup."""
-    def __missing__(self, s: frozenset[int]) -> str:
-        self[s] = "[\n        " + ",\n        ".join(map(str, sorted(s))) + "\n      ]"
-        return self[s]
+def _json_list(ints: Iterable[int]) -> str:
+    """The JSON list of increasing ints, as it stands inside a stratum."""
+    text = ",\n        ".join(map(str, ints))
+    return "[\n        " + text + "\n      ]" if text else "[]"
 
 
 def classify_json(n: int) -> str:
     """The JSON text of every label's closed-form record, one template per
     stratum class; byte for byte what ``json.dumps(..., indent=2)`` writes."""
-    ints, empty, dl = _IntLists({frozenset(): "[]"}), StratumClass.EMPTY, StratumClass.DL
     strata = [
-        _EMPTY % (k, l, length, ints[supp], ints[stable]) if cls is empty
-        else _DL % (k, l, length, dim, ints[parahoric], ints[supp], ints[stable])
-        if cls is dl
-        else _NOT_DL % (k, l, length, dim, *target, rank, *base, ints[parahoric], ints[supp],
-                        ints[stable], "true" if pos else "false")
-        for (k, l), cls, length, supp, stable, dim, target, rank, base, parahoric, _, pos
-        in gu.stratum_records(n)]
+        _JSON_EMPTY % (k, l, length, supp, stable) if cls is _EMPTY
+        else _JSON_DL % (k, l, length, dim, parahoric, supp, stable) if cls is _DL
+        else _JSON_NOT_DL % (k, l, length, dim, *target, rank, *base, parahoric, supp,
+                             stable, "true" if pos else "false")
+        for k, l, cls, length, supp, stable, dim, target, rank, base, parahoric, _, pos
+        in gu._rows(n, supp=_json_list, stable=_json_list, parahoric=_json_list)]
     # the head and tail ride on the first and last stratum: one join, no other copy
     strata[0] = '{\n  "schema": 1,\n  "n": %d,\n  "strata": [\n' % n + strata[0]
     strata[-1] += "\n  ]\n}"
     return ",\n".join(strata)
 
 
-def _fmt_set(s: Optional[Iterable[int]]) -> str:
-    return "-" if s is None else "{" + ",".join(map(str, sorted(s))) + "}"
+def _fmt_label(lab: Optional[tuple[int, int]]) -> str:
+    return "-" if lab is None else "(%d,%d)" % lab
 
 
-def _fmt_label(lab: Optional[StratumLabel]) -> str:
-    return "-" if lab is None else f"({lab.k},{lab.l})"
+def _brace_list(ints: Iterable[int]) -> str:
+    return "{" + ",".join(map(str, ints)) + "}"
 
 
 def classify_table(n: int) -> str:
     header = ["(k,l)", "class", "len", "dim", "target", "rank", "base",
               "parahoric", "pos_cox"]
     rows = [header] + [[
-        _fmt_label(rec.label), rec.stratum_class.value, str(rec.length),
-        "-" if rec.dim is None else str(rec.dim), _fmt_label(rec.target),
-        "-" if rec.rank is None else str(rec.rank), _fmt_label(rec.base),
-        _fmt_set(rec.parahoric), "yes" if rec.positive_coxeter else "no",
-    ] for rec in gu.stratum_records(n)]
+        f"({k},{l})", cls.value, str(length), "-" if dim is None else str(dim),
+        _fmt_label(target), "-" if rank is None else str(rank), _fmt_label(base),
+        parahoric or "-", "yes" if pos else "no",
+    ] for k, l, cls, length, _, _, dim, target, rank, base, parahoric, _, pos
+        in gu._rows(n, parahoric=_brace_list)]
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -116,18 +118,17 @@ def classify_table(n: int) -> str:
 
 def classify_dot(n: int) -> str:
     """Fibration digraph; one rank row per dimension, arrows to the target."""
-    g = gu.stratum_graph(n)
     lines = ["digraph strata {", "  node [shape=box];"]
-    by_dim: dict[int, list[StratumLabel]] = {}
-    for rec in g.records:
-        k, l = rec.label
+    by_dim: dict[int, list[str]] = {}
+    edges = []
+    for k, l, _, _, _, _, dim, target, *_ in gu._rows(n, keep=(_DL, _NOT_DL)):
         lines.append(f'  "w_{k}_{l}" [label="w_{{{k},{l}}}"];')
-        by_dim.setdefault(rec.dim, []).append(rec.label)
+        by_dim.setdefault(dim, []).append(f'"w_{k}_{l}";')
+        if target is not None:
+            edges.append(f'  "w_{k}_{l}" -> "w_{target[0]}_{target[1]}";')
     for dim in sorted(by_dim):
-        ids = " ".join(f'"w_{k}_{l}";' for k, l in by_dim[dim])
-        lines.append(f"  {{ rank=same; {ids} }}")
-    for (k, l), (k2, l2) in g.edges:
-        lines.append(f'  "w_{k}_{l}" -> "w_{k2}_{l2}";')
+        lines.append(f"  {{ rank=same; {' '.join(by_dim[dim])} }}")
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -204,10 +205,14 @@ def _check_reduction(n: int, budget: int) -> tuple[bool, str]:
                if rec.stratum_class is StratumClass.NOT_DL]
     for rec in records:
         w, target = gu.w_kl(n, *rec.label), gu.w_kl(n, *rec.target)
+        cert = None
         for level, what in ((None, "verified certificate"),
                             (rec.s_w_sigma, "level-certified reduction")):
             try:  # a wrong closed form can break find_reduction's preconditions
-                cert = reduction.find_reduction(w, target, budget, level=level)
+                # at an empty level the search walks every letter in the plain
+                # order and finds the plain certificate again: reuse it
+                cert = (dataclasses.replace(cert, level=level) if cert and not level
+                        else reduction.find_reduction(w, target, budget, level=level))
             except ValueError as exc:
                 return False, f"no {what} for {_fmt_label(rec.label)}: {exc}"
             if cert is None or not cert.verify():

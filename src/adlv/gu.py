@@ -15,11 +15,16 @@ order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
 
-The closed forms of a label live in one place, the record loop ``_records``,
-which fills a whole ``StratumRecord`` per label, for empty labels too (only
-the supports and stable set are defined there).  ``stratum_records`` runs it
-on all labels, ``stratum_graph`` on the nonempty ones, and ``stratum_record``,
-``w_prime`` and ``positive_coxeter_closed`` on one label.
+The closed forms of a label live in one place, the row loop ``_rows``, which
+yields one plain tuple per label, for empty labels too (only the supports and
+stable set are defined there).  Its sets come from one bounds function per
+kind (``_supp_runs``, ``_stable_runs``), in whatever form the caller asks for,
+or not at all; ``supp_sigma_closed`` and ``s_closed`` wrap the same bounds.
+``_records`` turns rows into ``StratumRecord``s with frozensets:
+``stratum_records`` runs it on all labels, ``stratum_graph`` on the nonempty
+ones, and ``stratum_record``, ``w_prime`` and ``positive_coxeter_closed`` on
+one label (the last two build no set).  ``adlv classify`` formats the rows
+directly, with no record.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import enum
 import itertools
 import json
 from importlib import resources
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .weyl import (
     WeylElement,
@@ -85,6 +90,10 @@ class StratumClass(enum.Enum):
     EMPTY = "empty"
 
 
+# bound once: an Enum class-attribute read costs a quarter of a classify call
+_DL, _NOT_DL, _EMPTY = StratumClass.DL, StratumClass.NOT_DL, StratumClass.EMPTY
+
+
 def _check_rank(n: int) -> None:
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -132,15 +141,15 @@ def tau_element(n: int) -> WeylElement:
     return w_kl(n, 1, 2)
 
 
-def _labels(n: int) -> Iterator[StratumLabel]:
-    """All stratum labels (k, l), 1 <= k < l <= n, in (k, l) order (rank >= 2)."""
+def _pairs(n: int) -> Iterator[tuple[int, int]]:
+    """All labels (k, l) as plain pairs, in (k, l) order (rank >= 2)."""
     _check_rank(n)
-    return (StratumLabel(k, l) for k in range(1, n) for l in range(k + 1, n + 1))
+    return ((k, l) for k in range(1, n) for l in range(k + 1, n + 1))
 
 
 def s_admissible(n: int) -> frozenset[StratumLabel]:
     """All stratum labels (k, l), 1 <= k < l <= n."""
-    return frozenset(_labels(n))
+    return frozenset(itertools.starmap(StratumLabel, _pairs(n)))
 
 
 def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
@@ -155,7 +164,7 @@ def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     w_{k,l}, else AssertionError.  s_admissible is the production answer.
     """
     sim = mu(n).similitude
-    by_element = {w_kl(n, *lab): lab for lab in _labels(n)}
+    by_element = {w_kl(n, *lab): lab for lab in s_admissible(n)}
     labels = set()
     for pair in itertools.combinations(range(n), 2):  # W·μ: two -1 slots
         t = translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
@@ -177,11 +186,11 @@ def classify(n: int, k: int, l: int) -> StratumClass:
     integers, never rational division."""
     _check_label(n, k, l)
     if k == 1 or 2 * l <= n + 2:
-        return StratumClass.DL
+        return _DL
     if 3 <= k and 2 * k < n + 2 and l <= n - 1 and (
             k % 2 == 1 if k + l <= n + 2 else (n - 1 - l) % 2 == 0):
-        return StratumClass.NOT_DL
-    return StratumClass.EMPTY
+        return _NOT_DL
+    return _EMPTY
 
 
 def classify_by_criterion(n: int, k: int, l: int) -> StratumClass:
@@ -233,6 +242,28 @@ class StratumRecord(NamedTuple):
     positive_coxeter: bool = False
 
 
+def _supp_runs(n: int, k: int, l: int) -> tuple[range, ...]:
+    """``supp_sigma_closed`` as increasing disjoint runs."""
+    top = n - (k == 1)
+    if 2 * l >= n + 3:  # the two runs meet
+        return (range(top),)
+    return range(l - 2), range(n - l + 1, top)
+
+
+def _stable_runs(n: int, k: int, l: int) -> tuple[range, ...]:
+    """``s_closed`` as increasing disjoint runs (where the odd letters join,
+    hi >= lo-1 keeps them apart)."""
+    if 2 * l <= n + 2:
+        lo, hi = l - 1, n - l
+    elif 2 * k <= n:
+        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
+    else:
+        lo, hi = n - k + 2, k - 1
+    if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
+        return range(1, lo - 1, 2), range(lo, hi), range(n - 1, hi, -2)[::-1]
+    return (range(lo, hi),)
+
+
 def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     """Closed form of the twisted support of w_{k,l}, on every label: the
     letters i and n-2-i for i < l-2, plus n-1 when k >= 2.
@@ -241,7 +272,7 @@ def supp_sigma_closed(n: int, k: int, l: int) -> frozenset[int]:
     [0, 1, 2, 3, 4, 5]
     """
     _check_label(n, k, l)
-    return frozenset(range(l - 2)).union(range(n - l + 1, n - (k == 1)))
+    return frozenset(itertools.chain(*_supp_runs(n, k, l)))
 
 
 def s_closed(n: int, k: int, l: int) -> frozenset[int]:
@@ -256,83 +287,97 @@ def s_closed(n: int, k: int, l: int) -> frozenset[int]:
     [1, 3, 5, 6, 7, 9, 11]
     """
     _check_label(n, k, l)
-    if 2 * l <= n + 2:
-        lo, hi = l - 1, n - l
-    elif 2 * k <= n:
-        lo, hi = max(k, n - l + 2), min(n - k, l - 2)
-    else:
-        lo, hi = n - k + 2, k - 1
-    out = frozenset(range(lo, hi))
-    if l == k + 1 and lo % 2 == 1 and 2 * k != n + 1:
-        out |= frozenset(range(1, lo - 1, 2)) | frozenset(range(n - 1, hi, -2))
-    return out
+    return frozenset(itertools.chain(*_stable_runs(n, k, l)))
 
 
-def _records(n: int, labels: Iterable[StratumLabel], keep: tuple = tuple(StratumClass),
-             what: Optional[str] = None) -> list[StratumRecord]:
-    """The records of ``labels`` in order, one ``classify`` each.  A label of a
-    class not in ``keep`` is dropped before any of its sets is built, or raises
-    NotApplicableError when ``what`` names a datum asked of it.  Each set kind
-    has a dict keyed by an int that fixes the set; equal stable sets share one."""
-    empty, dl, cap, out = StratumClass.EMPTY, StratumClass.DL, (n + 4) // 2, []
-    hyperspecial = frozenset(range(1, n))
+_Form = Optional[Callable[[Iterable[int]], object]]  # a set's increasing ints -> its form
+
+
+def _rows(n: int, labels: Optional[Iterable[tuple[int, int]]] = None,
+          keep: tuple = tuple(StratumClass), what: Optional[str] = None, supp: _Form = None,
+          stable: _Form = None, parahoric: _Form = None, letters: _Form = None
+          ) -> Iterator[tuple]:
+    """
+    The closed forms of ``labels`` (default: all), one plain tuple per label
+    in order, one ``classify`` each: the fields of ``StratumRecord`` with the
+    label split into k, l and ``target`` and ``base`` as plain pairs.  A label
+    of a class not in ``keep`` is dropped before any of its sets is built, or
+    raises NotApplicableError when ``what`` names a datum asked of it.
+
+    Each set kind comes in the form its argument makes of the set's increasing
+    ints, built once per distinct int key; a kind without a form is None in
+    every row.  Equal stable sets share one form.
+    """
+    cap, hyperspecial = (n + 4) // 2, parahoric and parahoric(range(1, n))
     supps, stables, parahorics, letter_sets, distinct = {}, {}, {}, {}, {}
-    for label in labels:
-        k, l = label
+    for k, l in _pairs(n) if labels is None else labels:
         if (cls := classify(n, k, l)) not in keep:
             if what:
                 raise NotApplicableError(f"{what} is undefined on the {cls.value} "
                                          f"label ({k},{l})")
             continue
-        key = (l if l < cap else cap) * 2 + (k == 1)  # the runs meet once 2l >= n+3
-        if (supp := supps.get(key)) is None:
-            supp = supps[key] = supp_sigma_closed(n, k, l)
+        skey = (l if l < cap else cap) * 2 + (k == 1)  # the runs meet once 2l >= n+3
         # l fixes the stable set when k+l <= n+1, else k; odd letters join only at l = k+1
         key = (l if k + l <= n + 1 else -k) * 2 + (l == k + 1)
-        if (stable := stables.get(key)) is None:
-            stable = stables[key] = distinct.setdefault(stable := s_closed(n, k, l), stable)
+        s = t = None
+        if supp and (s := supps.get(skey)) is None:
+            s = supps[skey] = supp(itertools.chain(*_supp_runs(n, k, l)))
+        if stable and (t := stables.get(key)) is None:
+            t = stables[key] = distinct.setdefault(t := stable(
+                itertools.chain(*_stable_runs(n, k, l))), t)
         length = k + l - 3
-        if cls is empty:
-            out.append(StratumRecord(label, cls, length, supp, stable))
-        elif cls is dl:
+        if cls is _EMPTY:
+            yield k, l, cls, length, s, t, None, None, None, None, None, None, False
+        elif cls is _DL:
+            p = None
             key = key * 2 + (k == 1)  # DL labels have k+l <= n+1: the stable key holds l
-            if (parahoric := parahorics.get(key)) is None:
-                parahoric = parahorics[key] = frozenset((i + 1) % n for i in supp | stable)
-            out.append(StratumRecord(label, cls, length, supp, stable, length, None, None,
-                                     None, parahoric))
+            if parahoric and (p := parahorics.get(key)) is None:
+                p = parahorics[key] = parahoric(sorted({(i + 1) % n for i in itertools.chain(
+                    *_supp_runs(n, k, l), *_stable_runs(n, k, l))}))
+            yield k, l, cls, length, s, t, length, None, None, None, p, None, False
         else:
             near = k + l <= n + 2  # else k-2 joins the letters
             if near:
-                target, rank, base = StratumLabel(k - 2, l), (k - 1) // 2, l
+                target, rank, base = (k - 2, l), (k - 1) // 2, l
             else:
-                target = (StratumLabel(k - 1, l - 1) if k + l == n + 3
-                          else StratumLabel(k, l - 2))
+                target = (k - 1, l - 1) if k + l == n + 3 else (k, l - 2)
                 rank, base = k + (l - n - 3) // 2, n - k + 2
-            if (letters := letter_sets.get(key := k * 2 + near)) is None:
-                letters = letter_sets[key] = frozenset(range(k - 1 - near)).union(
-                    range(n - k + 1, n))
-            out.append(StratumRecord(label, cls, length, supp, stable, base - 2 + rank, target,
-                                     rank, StratumLabel(1, base), hyperspecial, letters,
-                                     k == (n + 1) // 2 or l == cap))
-    return out
+            j = None
+            if letters and (j := letter_sets.get(key := k * 2 + near)) is None:
+                j = letter_sets[key] = letters(itertools.chain(range(k - 1 - near),
+                                                               range(n - k + 1, n)))
+            yield (k, l, cls, length, s, t, base - 2 + rank, target, rank, (1, base),
+                   hyperspecial, j, k == (n + 1) // 2 or l == cap)
+
+
+_FROZENSETS = dict.fromkeys(("supp", "stable", "parahoric", "letters"), frozenset)
+
+
+def _records(n: int, labels: Optional[Iterable[tuple[int, int]]] = None,
+             keep: tuple = tuple(StratumClass), what: Optional[str] = None,
+             forms: dict = _FROZENSETS) -> list[StratumRecord]:
+    """``_rows`` as records, sets as frozensets; without ``forms``, no sets."""
+    return [StratumRecord(StratumLabel(k, l), cls, length, s, t, dim,
+                          target and StratumLabel(*target), rank,
+                          base and StratumLabel(*base), p, j, pos)
+            for k, l, cls, length, s, t, dim, target, rank, base, p, j, pos
+            in _rows(n, labels, keep, what, **forms)]
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:
     """The closed-form record of a nonempty label (fields: ``StratumRecord``),
     the one per-label entry point; NotApplicableError on an empty label."""
-    return _records(n, (StratumLabel(k, l),), (StratumClass.DL, StratumClass.NOT_DL),
-                    "the stratum record")[0]
+    return _records(n, ((k, l),), (_DL, _NOT_DL), "the stratum record")[0]
 
 
 def stratum_records(n: int) -> list[StratumRecord]:
     """Every label's closed-form record, in label order, one classify each."""
-    return _records(n, _labels(n))
+    return _records(n)
 
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
     """One-step fibration target of a non-DL stratum."""
-    return _records(n, (StratumLabel(k, l),), (StratumClass.NOT_DL,),
-                    "the fibration target")[0].target
+    return _records(n, ((k, l),), (_NOT_DL,), "the fibration target", {})[0].target
 
 
 def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
@@ -342,8 +387,8 @@ def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
     ...  [(13, 7, 10), (12, 6, 9), (13, 3, 8), (12, 3, 8), (13, 3, 12)]]
     [True, True, True, True, False]
     """
-    return _records(n, (StratumLabel(k, l),), (StratumClass.NOT_DL,),
-                    "positive-Coxeter detection")[0].positive_coxeter
+    return _records(n, ((k, l),), (_NOT_DL,), "positive-Coxeter detection",
+                    {})[0].positive_coxeter
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +437,7 @@ class StratumGraph(NamedTuple):
 def stratum_graph(n: int) -> StratumGraph:
     """All nonempty strata with their records, plus the fibration arrows
     (records in label order, so the arrows come out sorted)."""
-    records = tuple(_records(n, _labels(n), (StratumClass.DL, StratumClass.NOT_DL)))
+    records = tuple(_records(n, keep=(_DL, _NOT_DL)))
     edges = tuple((rec.label, rec.target) for rec in records if rec.target is not None)
     return StratumGraph(n, records, edges)
 

@@ -137,6 +137,11 @@ def commutes_with_level(n: int, i: int, level: frozenset[int]) -> bool:
     """Whether s_i lies outside ``level`` and commutes with all of it
     (non-adjacent on the cyclic diagram)."""
     _check_indices(n, level | {i})
+    return _commutes(n, i, level)
+
+
+def _commutes(n: int, i: int, level: frozenset[int]) -> bool:
+    """``commutes_with_level`` on indices already checked."""
     return i not in level and all((i - j) % n not in (1, n - 1) for j in level)
 
 
@@ -368,13 +373,13 @@ def find_reduction(w: WeylElement, target: WeylElement,
         return None
     letters: Sequence[int] = range(n)
     if level is not None:
-        if not level_is_stable(w, level):
+        if not level_is_stable(w, level):  # checks the level's indices, once a call
             raise LevelViolationError(
                 f"level {sorted(level)} is not stable under the source")
         if w.left_descents() & level:
             raise LevelViolationError(
                 "source is not minimal in its coset at the supplied level")
-        letters = [i for i in range(n) if commutes_with_level(n, i, level)]
+        letters = [i for i in range(n) if _commutes(n, i, level)]
     # the target's walk advances only as far as each drop needs
     target_parents: dict[Window, Optional[tuple[Window, int]]] = {}
     target_walk = _class_walk(target.window, budget, letters, target_parents)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, round trips, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -137,6 +138,20 @@ def test_classify_stays_closed_form(monkeypatch):
         assert cli.classify_table(n).startswith("(k,l)")
 
 
+def test_classify_renderers_build_no_record(monkeypatch):
+    # json, dot and table format the closed-form rows as they arrive: no
+    # record, no label and no frozenset on the way
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a renderer built a record")
+    monkeypatch.setattr(gu, "StratumRecord", forbidden)
+    monkeypatch.setattr(gu, "StratumLabel", forbidden)
+    monkeypatch.setattr(gu, "frozenset", forbidden, raising=False)
+    for n in range(2, 21):
+        assert json.loads(cli.classify_json(n))["n"] == n
+        assert cli.classify_dot(n).startswith("digraph strata {")
+        assert cli.classify_table(n).startswith("(k,l)")
+
+
 # sha256 of the concatenated outputs for n = 2..40, each followed by a
 # newline, as emitted before the stratum data moved into one record builder
 _CLASSIFY_DIGESTS = {
@@ -250,7 +265,7 @@ def test_classify_ceiling_script(monkeypatch, capsys):
     code, out, _ = run_script(monkeypatch, capsys, "classify_ceiling.py", "--n", "5")
     assert code == 0
     rows = [line.split() for line in out.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [["5", "json"], ["5", "dot"]]
+    assert [row[:2] for row in rows] == [["5", "json"], ["5", "dot"], ["5", "table"]]
     for _, fmt, seconds, peak_mb, size in rows:
         assert float(seconds) > 0 and float(peak_mb) > 0
         assert int(size) == len(cli.classify_text(5, fmt).encode())
@@ -355,6 +370,39 @@ def test_verify_reduction_small(capsys):
     assert "chain convention" in out
 
 
+def test_verify_reduction_reuses_the_plain_certificate_at_an_empty_level(monkeypatch):
+    # where the stable set is empty, the leveled search walks every letter in
+    # the plain order, so it finds the plain certificate at level frozenset()
+    for n in range(5, 12):
+        for rec in gu.stratum_records(n):
+            if rec.stratum_class is StratumClass.NOT_DL and not rec.s_w_sigma:
+                w, target = w_kl(n, *rec.label), w_kl(n, *rec.target)
+                plain = reduction.find_reduction(w, target)
+                assert reduction.find_reduction(w, target, level=frozenset()) == (
+                    dataclasses.replace(plain, level=frozenset()))
+    # so the suite searches once on such a label, and still verifies twice
+    searches, levels = [], []
+    real_find, real_verify = reduction.find_reduction, reduction.ReductionCertificate.verify
+
+    def find(*args, **kwargs):
+        searches.append(kwargs.get("level"))
+        return real_find(*args, **kwargs)
+
+    def verify(cert):
+        levels.append(cert.level)
+        return real_verify(cert)
+
+    monkeypatch.setattr(reduction, "find_reduction", find)
+    monkeypatch.setattr(reduction.ReductionCertificate, "verify", verify)
+    n = 9
+    not_dl = [rec for rec in gu.stratum_records(n) if rec.stratum_class is StratumClass.NOT_DL]
+    assert cli._check_reduction(n, roots.DEFAULT_BUDGET)[0]
+    assert searches == [level for rec in not_dl for level in (None, rec.s_w_sigma)
+                        if level is None or level]
+    assert levels == [level for rec in not_dl for level in (None, rec.s_w_sigma)]
+    assert frozenset() in levels
+
+
 def test_verify_closedforms_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "closedforms", "--n-max", "6")
     assert code == 0
@@ -364,7 +412,8 @@ def test_verify_closedforms_small(capsys):
 
 
 def test_verify_closedforms_reports_wrong_stable_set(monkeypatch, capsys):
-    monkeypatch.setattr(gu, "s_closed", lambda n, k, l: frozenset({n}))
+    # the records and s_closed read the stable set off one bounds function
+    monkeypatch.setattr(gu, "_stable_runs", lambda n, k, l: (range(n, n + 1),))
     code, out, _ = run_cli(capsys, "verify", "--suite", "closedforms", "--n-max", "6")
     assert code == 1
     assert "[FAIL] closedforms n=2: stable-subset mismatch" in out
@@ -396,7 +445,7 @@ def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
      "ideal walk empty=False"),
     (gu, "w_kl", lambda n, k, l: w_kl(n, 1, 2), "closedforms",
      "[FAIL] closedforms n=3: length of (1,3) is 0, not 1"),
-    (gu, "supp_sigma_closed", lambda n, k, l: frozenset({n}), "closedforms",
+    (gu, "_supp_runs", lambda n, k, l: (range(n, n + 1),), "closedforms",
      "[FAIL] closedforms n=2: twisted support mismatch at (1,2)"),
     (gu, "classify", lambda n, k, l: StratumClass.DL, "closedforms",
      "[FAIL] closedforms n=3: dimension/component count"),

@@ -1,5 +1,7 @@
 """Stratum classification, fibrations, dimensions, closure order, records."""
 
+import itertools
+
 import pytest
 
 from adlv.gu import (
@@ -28,7 +30,7 @@ from adlv.gu import (
     w_kl,
     w_prime,
 )
-from adlv import roots
+from adlv import gu, roots
 from adlv.reduction import positive_coxeter_generic
 from adlv.weyl import WeylElement, from_word, identity, simple_ref, translation
 
@@ -367,11 +369,20 @@ def test_stratum_records_cover_every_label():
                 assert rec.j_set is None
             else:
                 assert rec.parahoric == frozenset(range(1, n))
-        # the graph's consumers (graph_summary, classify_dot) rely on its order
+        # graph_summary relies on its order
         graph = stratum_graph(n)
         assert graph.records == tuple(rec for rec in records
                                       if rec.stratum_class is not StratumClass.EMPTY)
         assert graph.edges == tuple(sorted(graph.edges))
+
+
+def test_set_bounds_are_increasing_disjoint_runs():
+    # `adlv classify` formats a set straight from its runs, in their order
+    for n in range(2, 61):
+        for k, l in s_admissible(n):
+            for runs in (gu._supp_runs(n, k, l), gu._stable_runs(n, k, l)):
+                ints = list(itertools.chain(*runs))
+                assert ints == sorted(set(ints)), (n, k, l, runs)
 
 
 def test_stratum_records_share_sets_within_one_call_only():

@@ -382,6 +382,15 @@ def test_level_predicates_reject_out_of_range_indices():
         commutes_with_level(5, 0, frozenset({-1}))
 
 
+def test_leveled_find_reduction_rejects_out_of_range_level():
+    # the level is checked once per search, before any letter is filtered
+    n, k, l = 9, 3, 8
+    w, target = w_kl(n, k, l), w_kl(n, *w_prime(n, k, l))
+    for bad in (frozenset({n}), frozenset({-1}), s_closed(n, k, l) | {n + 3}):
+        with pytest.raises(ValueError, match="out of range"):
+            find_reduction(w, target, level=bad)
+
+
 def test_arrow_with_level_context():
     w = w_kl(9, 3, 8)
     level = frozenset({3, 4, 5})  # the stable subset for (3,8) at n=9
