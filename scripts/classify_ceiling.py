@@ -26,18 +26,35 @@ from pathlib import Path
 FORMATS = ("json", "dot", "table")
 
 
-def run(n: int, fmt: str, env: dict) -> tuple[float, float]:
-    """Seconds and peak RSS (MB) of one `adlv classify` child."""
+def child_env() -> dict:
+    """This environment, with PYTHONPATH leading to the `adlv` package that
+    this process finds, so that every child imports the same one."""
+    spec = importlib.util.find_spec("adlv")  # locates the package, imports nothing
+    if spec is None:
+        raise SystemExit("adlv is not importable: run with PYTHONPATH=src")
+    path = [str(Path(spec.origin).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def run_cli(argv: list[str], env: dict) -> tuple[float, float, int]:
+    """Seconds, peak RSS (MB) and exit code of one `python -m adlv.cli`
+    child, its output sent to /dev/null."""
     t0 = time.perf_counter()
     with open(os.devnull, "wb") as sink:
-        proc = subprocess.Popen([sys.executable, "-m", "adlv.cli", "classify",
-                                 "--n", str(n), "--format", fmt], stdout=sink, env=env)
+        proc = subprocess.Popen([sys.executable, "-m", "adlv.cli", *argv],
+                                stdout=sink, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-    if proc.returncode != 0:
-        raise SystemExit(f"adlv classify --n {n} --format {fmt} exited {proc.returncode}")
-    return seconds, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    return seconds, usage.ru_maxrss / 1024, proc.returncode  # ru_maxrss is in KiB
+
+
+def run(n: int, fmt: str, env: dict) -> tuple[float, float]:
+    """Seconds and peak RSS (MB) of one `adlv classify` child."""
+    seconds, peak_mb, code = run_cli(["classify", "--n", str(n), "--format", fmt], env)
+    if code != 0:
+        raise SystemExit(f"adlv classify --n {n} --format {fmt} exited {code}")
+    return seconds, peak_mb
 
 
 def main() -> None:
@@ -47,11 +64,7 @@ def main() -> None:
     if min(args.n) < 2:
         ap.error(f"--n must be at least 2, got {min(args.n)}")
 
-    spec = importlib.util.find_spec("adlv")  # locates the package, imports nothing
-    if spec is None:
-        raise SystemExit("adlv is not importable: run with PYTHONPATH=src")
-    path = [str(Path(spec.origin).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = child_env()
     runs = [(n, fmt, *run(n, fmt, env)) for n in args.n for fmt in FORMATS]
 
     from adlv.cli import classify_text

@@ -27,12 +27,15 @@ minimal coset representative w = phi^λ·y: the piece is empty iff
     (ii) some r with Inv(r) ⊆ Phi_w has supp_sigma(r·y·sigma(r)⁻¹) a proper
          subset of the finite diagram.
 
-It decides (ii) by a least-fixpoint closure, ``_tiered_witness``, in O(n)
-seeds times O(n²) steps.  With h(p) = y(n+1-p), (ii) asks for disjoint sets
-T and B with h(T) = B and h(B) = T, T closed upward and B closed downward
-along the positive roots outside Phi_w; the witness is the tiered r that
-gives B the lowest values, T the highest and the rest those between,
-increasing inside each tier.  The closure never runs out of budget.
+It decides (ii) by a least-fixpoint closure, ``_tiered_witness``.  With
+h(p) = y(n+1-p), (ii) asks for disjoint sets T and B with h(T) = B and
+h(B) = T, T closed upward and B closed downward along the positive roots
+outside Phi_w; the witness is the tiered r that gives B the lowest values,
+T the highest and the rest those between, increasing inside each tier.
+Those roots, at most ℓ(w) of them, are read off the window in O(n + ℓ(w))
+(``roots._excluded_roots``), and the closure runs over the h-cycles of its
+2n nodes: O(ℓ(w)) to build their quotient graph once, then O(n) big-integer
+steps per seed for at most n seeds.  It never runs out of budget.
 
 The oracles walk the inversion ideal of R(w) instead.  ``is_empty_basic_walk``
 and positive-Coxeter detection share ``_find_twisted_conjugate``: it forms the
@@ -51,21 +54,22 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .weyl import (
     WeylElement,
     decompose_xmy,
-    simple_ref,
     _finite_part,
     _inv,
     _mul,
     _sigma,
+    _simple_window,
 )
 from .roots import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     Root,
+    _excluded_roots,
     _iter_inv_ideal,
     _proper_twisted_support,
     _sigma_coxeter_window,
@@ -122,9 +126,9 @@ class ReductionArrow:
 
 
 def conj_by_simple(w: WeylElement, i: int) -> WeylElement:
-    """s_i · w · sigma(s_i)."""
-    s = simple_ref(w.n, i)
-    return s * w * s.sigma()
+    """s_i · w · sigma(s_i), two window products wrapped into one element."""
+    s = _simple_window(w.n, i)
+    return WeylElement(_mul(_mul(s, w.window), _sigma(s)), w.similitude)
 
 
 def _check_indices(n: int, indices: frozenset[int]) -> None:
@@ -420,53 +424,71 @@ def _full_twisted_support(w: WeylElement) -> bool:
     return len(supp_sigma(w)) == w.n
 
 
-def _tiered_witness(h: Sequence[int], allowed: frozenset[Root]) -> Optional[Window]:
+def _tiered_witness(h: Sequence[int], edges: Iterable[Root]) -> Optional[Window]:
     """
-    The window of a finite r with Inv(r) ⊆ ``allowed`` whose tiers
-    B = r⁻¹{1..i} and T = r⁻¹{n-i+1..n}, for some i >= 1, satisfy h(T) = B
-    and h(B) = T; None when no r has them.  ``h`` is the window of a
-    permutation of 1..n and ``allowed`` any set of positive roots.
+    The window of a finite r that keeps every root (a, b) in ``edges``
+    increasing, r(a) < r(b), and whose tiers B = r⁻¹{1..i} and
+    T = r⁻¹{n-i+1..n}, for some i >= 1, satisfy h(T) = B and h(B) = T; None
+    when no r has them.  ``h`` is the window of a permutation of 1..n and
+    ``edges`` any positive roots (for emptiness, those outside Phi_w).
 
-    Each positive root (a, b) outside ``allowed`` is an edge a -> b that r
-    must keep increasing, r(a) < r(b); so T is closed upward and B downward
-    along the edges.  Conversely a disjoint pair (T, B), T closed upward and
-    containing h(B), B closed downward and containing h(T), is a solution:
-    h is injective, so |T| = |B| and both inclusions are equalities, and the
-    tiered r giving B the lowest values, T the highest and the rest those
-    between, increasing with the position inside each tier, keeps every edge
-    increasing.  For a seed t the least such pair with t in T lies inside
-    every solution with t in T, so a solution exists iff some seed's least
-    pair is disjoint.  That pair is the set reachable from "t in T" in the
-    graph on the 2n nodes "p in T", "p in B" with arrows a∈T -> b∈T and
-    b∈B -> a∈B for every edge a -> b, and p∈T -> h(p)∈B, p∈B -> h(p)∈T.
-    A seed whose closure reaches a failed seed fails too.
+    Each edge a -> b closes T upward and B downward.  Conversely a disjoint
+    pair (T, B), T closed upward and containing h(B), B closed downward and
+    containing h(T), is a solution: h is injective, so |T| = |B| and both
+    inclusions are equalities, and the tiered r giving B the lowest values,
+    T the highest and the rest those between, increasing with the position
+    inside each tier, keeps every edge increasing.  For a seed t the least
+    such pair with t in T lies inside every solution with t in T, so a
+    solution exists iff some seed's least pair is disjoint.  That pair is
+    the set reachable from "t in T" in the graph on the 2n nodes "p in T",
+    "p in B" with arrows a∈T -> b∈T and b∈B -> a∈B for every edge, and the
+    h-arrows p∈T -> h(p)∈B, p∈B -> h(p)∈T.
+
+    The h-arrows form a permutation of the 2n nodes, so they split them into
+    disjoint cycles, and a closure holds each cycle it meets whole.  The
+    closure of a seed is therefore the union of the cycles reachable from
+    its own in the quotient graph, which the edges give once per call.  The
+    seeds are tried in order 1..n; a seed fails as soon as its closure has T
+    meet B or reaches the cycle of a failed seed, and the first seed whose
+    closure is disjoint gives the witness.
     """
     n = len(h)
-    # bit p - 1 is the node "p in T", bit n + p - 1 the node "p in B"
-    succ = [1 << (n + v - 1) for v in h] + [1 << (v - 1) for v in h]
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            if (a, b) not in allowed:
-                succ[a - 1] |= 1 << (b - 1)
-                succ[n + b - 1] |= 1 << (n + a - 1)
+    # nodes: p - 1 is "p in T", n + p - 1 is "p in B"; label each h-cycle
+    cycle = [-1] * (2 * n)
+    nodes: list[int] = []  # node bits of each cycle
+    for start in range(2 * n):
+        c, bits, v = len(nodes), 0, start
+        while cycle[v] < 0:
+            cycle[v] = c
+            bits |= 1 << v
+            v = n + h[v] - 1 if v < n else h[v - n] - 1
+        if bits:
+            nodes.append(bits)
+    succ = [0] * len(nodes)  # cycle bits one edge away
+    for a, b in edges:
+        succ[cycle[a - 1]] |= 1 << cycle[b - 1]
+        succ[cycle[n + b - 1]] |= 1 << cycle[n + a - 1]
     failed = 0
     for t in range(n):
-        reach = frontier = 1 << t
-        # stop once T meets B or holds a failed seed
-        while frontier and not reach & (failed | reach >> n):
+        reach = frontier = 1 << cycle[t]
+        inside = 0  # the nodes of the reached cycles
+        # stop once T meets B or a failed seed's cycle is reached
+        while frontier and not (reach & failed or inside & (inside >> n)):
             step = 0
             while frontier:
                 bit = frontier & -frontier
-                step |= succ[bit.bit_length() - 1]
+                c = bit.bit_length() - 1
+                inside |= nodes[c]
+                step |= succ[c]
                 frontier ^= bit
             frontier = step & ~reach
             reach |= frontier
-        if not frontier:  # the closure is complete and disjoint
-            top, bottom = reach & ((1 << n) - 1), reach >> n
+        if not (frontier or inside & (inside >> n)):  # complete and disjoint
+            top, bottom = inside & ((1 << n) - 1), inside >> n
             # B first, then the rest, then T, each by position: r⁻¹ 0-based
             by_value = sorted(range(n), key=lambda p: (top >> p & 1) - (bottom >> p & 1))
             return _inv(tuple(p + 1 for p in by_value))
-        failed |= 1 << t
+        failed |= 1 << cycle[t]
     return None
 
 
@@ -475,14 +497,15 @@ def is_empty_basic(w: WeylElement) -> EmptinessVerdict:
     Decide emptiness for a minimal coset representative (see module
     docstring).  When empty, the witness is the tiered r of
     ``_tiered_witness``: Inv(r) ⊆ Phi_w and supp_sigma(r·y·sigma(r)⁻¹) is
-    proper in the finite diagram.  The closure is polynomial and takes no
-    budget.
+    proper in the finite diagram.  The closure reads the roots outside Phi_w
+    off the window (``roots._excluded_roots``), never lists Phi_w or
+    decomposes w, and takes no budget.
     """
     if not _full_twisted_support(w):
         return EmptinessVerdict(False)
     # w = phi^λ·y, so y is the window reduced mod n, z = y and h = z∘c
     # with c(p) = n + 1 - p is y read backwards
-    r = _tiered_witness(_finite_part(w.window)[::-1], phi_w(w))
+    r = _tiered_witness(_finite_part(w.window)[::-1], _excluded_roots(w.window))
     return EmptinessVerdict(False) if r is None else EmptinessVerdict(True, WeylElement(r))
 
 

@@ -17,6 +17,13 @@ tree stays inside the order ideal of Phi_w and never touches the rest of the
 symmetric group.  It generates each r ≠ e once, from its canonical parent s_d·r
 (d the smallest left descent of r), so it keeps no visited set.
 
+For a minimal coset representative (x = 1) the complement of Phi_w has at
+most ℓ(w) roots, exactly ℓ(w) when λ is minuscule, and ``_excluded_roots``
+lists them straight from the window, block by block of λ, without
+decompose_xmy or a pass over all n²/2 positive roots.  The emptiness closure
+of the reduction module takes its edges from that list; ``phi_w`` itself
+stays the first-definition set that the ideal walks and the tests use.
+
 Supports: supp(w) is the smallest set of simple affine reflections whose
 parabolic subgroup holds the affine part w·tau1^{-m} (m the Omega-component),
 the letters of any of its reduced words.  It is read off the window: s_i is
@@ -39,6 +46,7 @@ node of its ideal search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
 from typing import Iterator, Optional, Sequence
@@ -92,6 +100,41 @@ def phi_w(w: WeylElement) -> frozenset[Root]:
     # <α, λ> - δ⁻(y⁻¹α) + δ⁻(xα) = 0 for α = (i+1, j+1)
     return frozenset([(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)
                       if c[i] - c[j] == (yi[i] > yi[j]) - (xw[i] > xw[j])])
+
+
+def _excluded_roots(window: Sequence[int]) -> list[Root]:
+    """
+    The positive roots outside Phi_w, each once, for the window of a minimal
+    coset representative w = phi^λ·y, read off the window in
+    O(n log n + ℓ(w)) with no normal form.
+
+    Here x = 1, so w(p) = y(p) + n·λ_{y(p)}: the residue of w(p) is the rank
+    y(p) and its quotient is λ there.  The test of (a, b) reduces to
+    λ_a - λ_b = [y⁻¹(a) > y⁻¹(b)].  λ is dominant, so equal values form runs
+    of ranks (blocks), and y⁻¹ increases inside each block.  Hence no root
+    inside a block is excluded; between adjacent blocks whose values differ
+    by one the excluded roots are the non-inversions of y⁻¹: for each rank b
+    of the lower block, the ranks a of the upper one with y⁻¹(a) < y⁻¹(b),
+    a prefix that one binary search finds; every other root between blocks
+    is excluded.  Each excluded root adds at least one to
+    ℓ(w) = <λ, 2ρ> - ℓ(y), and exactly one when λ is minuscule.
+    """
+    n = len(window)
+    lam, yi = [0] * (n + 1), [0] * (n + 1)  # λ and y⁻¹ at ranks 1..n
+    for p, v in enumerate(window, 1):
+        q, r = divmod(v - 1, n)
+        lam[r + 1], yi[r + 1] = q, p
+    starts = [a for a in range(1, n + 1) if a == 1 or lam[a] != lam[a - 1]]
+    starts += [n + 1, n + 1]
+    out: list[Root] = []
+    for lo, mid, hi in zip(starts, starts[1:], starts[2:]):
+        far = mid
+        if mid <= n and lam[lo] - lam[mid] == 1:
+            far = hi
+            for b in range(mid, hi):
+                out += [(a, b) for a in range(lo, bisect_left(yi, yi[b], lo, mid))]
+        out += [(a, b) for a in range(lo, mid) for b in range(far, n + 1)]
+    return out
 
 
 def _iter_inv_ideal(n: int, allowed: frozenset[Root],

@@ -130,6 +130,18 @@ def _affine_window(window: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
                  [v + q * n + n for v in window[:r]]), m
 
 
+def _simple_window(n: int, i: int) -> tuple[int, ...]:
+    """The window of s_i, 0 <= i < n."""
+    if not 0 <= i < n:
+        raise ValueError(f"simple reflection index {i} out of range for rank {n}")
+    w = list(range(1, n + 1))
+    if i == 0:
+        w[0], w[n - 1] = 0, n + 1
+    else:
+        w[i - 1], w[i] = i + 1, i
+    return tuple(w)
+
+
 def _finite_part(window: tuple[int, ...]) -> tuple[int, ...]:
     """Reduce each window entry mod n into [1, n]."""
     n = len(window)
@@ -260,14 +272,7 @@ def simple_ref(n: int, i: int) -> WeylElement:
     >>> simple_ref(4, 0).window
     (0, 2, 3, 5)
     """
-    if not 0 <= i < n:
-        raise ValueError(f"simple reflection index {i} out of range for rank {n}")
-    w = list(range(1, n + 1))
-    if i == 0:
-        w[0], w[n - 1] = 0, n + 1
-    else:
-        w[i - 1], w[i] = i + 1, i
-    return WeylElement(tuple(w))
+    return WeylElement(_simple_window(n, i))
 
 
 def translation(lam: Cocharacter) -> WeylElement:

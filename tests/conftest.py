@@ -296,6 +296,39 @@ def v_form_reference(w: WeylElement) -> WeylElement | None:
     return None
 
 
+def tiered_closure_reference(h, edges) -> tuple[int, ...] | None:
+    """
+    The witness of ``reduction._tiered_witness`` by one breadth-first
+    closure per seed over the 2n nodes "p in T" (bit p - 1) and "p in B"
+    (bit n + p - 1), with no h-cycles: arrows a∈T -> b∈T and b∈B -> a∈B per
+    edge (a, b), p∈T -> h(p)∈B and p∈B -> h(p)∈T.  The first seed t whose
+    closure has T and B disjoint gives the tiered r (B lowest, then the
+    rest, then T, by position inside each tier); None when no seed does.
+    """
+    n = len(h)
+    succ = [1 << (n + v - 1) for v in h] + [1 << (v - 1) for v in h]
+    for a, b in edges:
+        succ[a - 1] |= 1 << (b - 1)
+        succ[n + b - 1] |= 1 << (n + a - 1)
+    for t in range(n):
+        reach = frontier = 1 << t
+        while frontier:
+            step = 0
+            for v in range(2 * n):
+                if frontier >> v & 1:
+                    step |= succ[v]
+            frontier = step & ~reach
+            reach |= frontier
+        top, bottom = reach & ((1 << n) - 1), reach >> n
+        if not top & bottom:
+            by_value = sorted(range(n), key=lambda p: (top >> p & 1) - (bottom >> p & 1))
+            r = [0] * n
+            for value, p in enumerate(by_value, 1):
+                r[p] = value
+            return tuple(r)
+    return None
+
+
 def dim_stratum_recursive(n: int, k: int, l: int) -> int:
     """Stratum dimension by its definition: the length k + l - 3 on DL
     labels, the target's dimension plus one along each fibration step."""

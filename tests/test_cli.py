@@ -271,6 +271,19 @@ def test_classify_ceiling_script(monkeypatch, capsys):
         assert int(size) == len(cli.classify_text(5, fmt).encode())
 
 
+def test_oracle_ceiling_script(monkeypatch, capsys):
+    # one `adlv verify --suite oracle` child per rank bound, with its exit code
+    code, out, _ = run_script(monkeypatch, capsys, "oracle_ceiling.py", "--n", "5")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert len(rows) == 1
+    n_max, seconds, peak_mb, exit_code = rows[0]
+    assert (n_max, exit_code) == ("5", "0")
+    assert float(seconds) > 0 and float(peak_mb) > 0
+    code, _, err = run_script(monkeypatch, capsys, "oracle_ceiling.py", "--n", "1")
+    assert code == 2 and "--n must be at least 2" in err
+
+
 def test_classify_json_holds_at_most_two_copies_of_its_text():
     # the per-stratum strings and their one join; no third, wrapped copy
     tracemalloc.start()

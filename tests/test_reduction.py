@@ -28,7 +28,9 @@ from adlv.reduction import (
     _class_walk,
     _tiered_witness,
 )
-from adlv.roots import DEFAULT_BUDGET, inv_set, lp_set, phi_w, supp_sigma
+from adlv import roots
+from adlv.roots import (DEFAULT_BUDGET, inv_set, lp_set, phi_w, pos_roots, supp_sigma,
+                        _excluded_roots)
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
 from adlv.gu import (StratumClass, classify, s_admissible, s_closed, tau_element, w_kl,
@@ -40,6 +42,7 @@ from conftest import (
     level_is_stable_oracle,
     one_letter_per_orbit,
     reduction_search_reference,
+    tiered_closure_reference,
     v_form_reference,
     weyl_elements,
 )
@@ -570,12 +573,75 @@ def _stabilizes_tiers(r, h):
 def test_tiered_witness_against_brute_force(case):
     # any permutation h and any allowed set, closed or not
     h, allowed = tuple(case[0]), frozenset(case[1])
-    r = _tiered_witness(h, allowed)
+    r = _tiered_witness(h, [a for a in pos_roots(len(h)) if a not in allowed])
     assert (r is not None) == _tiers_by_brute_force(h, allowed)
     if r is not None:
         assert sorted(r) == list(range(1, len(h) + 1))
         assert inv_set(WeylElement(r)) <= allowed
         assert _stabilizes_tiers(r, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)),
+    st.lists(st.sampled_from([(a, b) for a in range(1, n + 1)
+                              for b in range(a + 1, n + 1)])))))
+def test_tiered_witness_matches_per_seed_closure(case):
+    # the closure over whole h-cycles gives the same window as one
+    # breadth-first closure per seed; edges may repeat
+    h, edges = tuple(case[0]), case[1]
+    assert _tiered_witness(h, edges) == tiered_closure_reference(h, edges)
+
+
+@st.composite
+def minimal_representatives(draw, max_n=9, max_shift=3):
+    """phi^λ·y for a random window: any λ, minuscule or not."""
+    n = draw(st.integers(2, max_n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    shifts = draw(st.lists(st.integers(-max_shift, max_shift), min_size=n, max_size=n))
+    _, lam, y = decompose_xmy(WeylElement(tuple(v + n * t for v, t in zip(perm, shifts))))
+    return translation(lam) * y
+
+
+def _check_excluded_roots(w):
+    got = _excluded_roots(w.window)
+    assert len(got) == len(set(got))
+    assert set(got) == set(pos_roots(w.n)) - phi_w(w)
+    assert len(got) <= w.length()
+    return got
+
+
+def test_excluded_roots_on_labels_to_30():
+    # the complement of Phi_w, one root each, exactly ℓ(w) of them: λ is minuscule
+    for n in range(2, 31):
+        for k in range(1, n):
+            for l in range(k + 1, n + 1):
+                w = w_kl(n, k, l)
+                assert len(_check_excluded_roots(w)) == w.length(), (n, k, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(minimal_representatives())
+def test_excluded_roots_on_minimal_representatives(w):
+    got = _check_excluded_roots(w)
+    coords = decompose_xmy(w)[1].coords
+    if max(coords) - min(coords) <= 1:
+        assert len(got) == w.length()
+
+
+def test_emptiness_never_lists_phi_w(monkeypatch):
+    # the closure reads the excluded roots off the window: it neither
+    # builds Phi_w nor decomposes w
+    labels = [(n, k, l) for n in range(2, 15) for k in range(1, n) for l in range(k + 1, n + 1)]
+    want = [classify(*label) is StratumClass.EMPTY for label in labels]
+    elements = [w_kl(*label) for label in labels]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_empty_basic listed Phi_w")
+    for module in (reduction, roots):
+        monkeypatch.setattr(module, "phi_w", forbidden)
+        monkeypatch.setattr(module, "decompose_xmy", forbidden)
+    assert [is_empty_basic(w).empty for w in elements] == want
 
 
 # ---------------------------------------------------------------------------
