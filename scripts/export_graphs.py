@@ -18,6 +18,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.n_min < 2:
         ap.error(f"--n-min must be at least 2, got {args.n_min}")
+    if args.n_max < args.n_min:
+        ap.error(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

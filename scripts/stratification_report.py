@@ -17,6 +17,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.n_min < 2:
         ap.error(f"--n-min must be at least 2, got {args.n_min}")
+    if args.n_max < args.n_min:
+        ap.error(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
 
     header = f"{'n':>3} {'labels':>7} {'dl':>5} {'not_dl':>7} {'empty':>6} " \
              f"{'dim':>4} {'orbits':>7}  top strata"

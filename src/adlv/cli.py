@@ -174,7 +174,7 @@ def _check_oracle(n: int, budget: int) -> tuple[bool, str]:
             return False, (f"first counterexample {_fmt_label(rec.label)}: "
                            f"closed form {want.value}, criterion {got.value}")
         if n <= WALK_N_MAX and got is not StratumClass.DL:
-            walk = reduction.is_empty_basic_walk(gu.w_kl(n, *rec.label), budget)
+            walk = reduction.is_empty_basic_v_form(gu.w_kl(n, *rec.label), budget)
             if walk.empty != (got is StratumClass.EMPTY):
                 return False, (f"first counterexample {_fmt_label(rec.label)}: closure "
                                f"{got.value}, ideal walk empty={walk.empty}")

@@ -37,16 +37,15 @@ Those roots, at most ℓ(w) of them, are read off the window in O(n + ℓ(w))
 2n nodes: O(ℓ(w)) to build their quotient graph once, then O(n) big-integer
 steps per seed for at most n seeds.  It never runs out of budget.
 
-The oracles walk the inversion ideal of R(w) instead.  ``is_empty_basic_walk``
-and positive-Coxeter detection share ``_find_twisted_conjugate``: it forms the
-finite window u = r·z·sigma(r)⁻¹ with z = y·sigma(x) from w = x·phi^λ·y and
-stops at the first r whose window passes a window-level predicate (proper
-twisted support, or twisted Coxeter).  ``is_empty_basic_v_form`` walks the
-ideal itself and, for length-positive v = y⁻¹·r⁻¹, forms sigma(v)⁻¹·p(w)·v
-and tests its twisted support in one finite-permutation kernel of its own
-per node, sharing neither that search nor its predicates.  Both return the
-first witness in breadth-first-by-length order, raise BudgetExceededError on
-an overrun, and are compared with the closure in tests.
+The oracles walk the inversion ideal of R(w) instead.  The v-form
+``is_empty_basic_v_form`` and positive-Coxeter detection share
+``_find_twisted_conjugate``: it forms the finite window u = r·z·sigma(r)⁻¹
+with z = y·sigma(x) from w = x·phi^λ·y and stops at the first r, in
+breadth-first-by-length order, whose window passes a window-level predicate
+(proper twisted support, or twisted Coxeter).  Overrunning the budget raises
+BudgetExceededError.  The v-form's witness is v = y⁻¹·r⁻¹, for which u is
+the sigma-twist of sigma(v)⁻¹·p(w)·v; tests compare its verdicts with the
+closure and its witness with an element-level loop over the same walk.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ __all__ = [
     "approx_equiv",
     "find_reduction",
     "is_empty_basic",
-    "is_empty_basic_walk",
     "is_empty_basic_v_form",
     "positive_coxeter_generic",
 ]
@@ -413,7 +411,9 @@ def find_reduction(w: WeylElement, target: WeylElement,
 @dataclass(frozen=True, slots=True)
 class EmptinessVerdict:
     empty: bool
-    witness: Optional[WeylElement] = None  # finite r, present iff empty
+    # present iff empty: the finite r of is_empty_basic, or the
+    # length-positive v = y⁻¹·r⁻¹ of is_empty_basic_v_form
+    witness: Optional[WeylElement] = None
 
 
 def _full_twisted_support(w: WeylElement) -> bool:
@@ -530,58 +530,22 @@ def _find_twisted_conjugate(w: WeylElement, budget: int,
     return None
 
 
-def is_empty_basic_walk(w: WeylElement,
-                        budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
+def is_empty_basic_v_form(w: WeylElement,
+                          budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
     """
-    Oracle for ``is_empty_basic``: condition (ii) decided by walking the
-    ideal Inv(r) ⊆ Phi_w and testing the proper twisted support of every
-    window r·z·sigma(r)⁻¹.  The witness, when present, is the first r in
-    breadth-first-by-length order; overrunning ``budget`` nodes raises
-    BudgetExceededError.
+    Oracle for ``is_empty_basic``: condition (ii) decided by the ideal walk
+    of ``_find_twisted_conjugate``.  A proper twisted support does not change
+    under the sigma-twist, so its first r gives the first length-positive
+    v = y⁻¹·r⁻¹ with supp_sigma(sigma(v)⁻¹·p(w)·v) proper: the witness.
+    Overrunning ``budget`` nodes raises BudgetExceededError.
     """
     if not _full_twisted_support(w):
         return EmptinessVerdict(False)
     r = _find_twisted_conjugate(w, budget, _proper_twisted_support)
-    return EmptinessVerdict(False) if r is None else EmptinessVerdict(True, WeylElement(r))
-
-
-def is_empty_basic_v_form(w: WeylElement,
-                          budget: int = DEFAULT_BUDGET) -> EmptinessVerdict:
-    """
-    The same criterion with condition (ii) quantified over length-positive
-    elements v = y⁻¹·r⁻¹; the witness, when present, is the first v.
-
-    Every v is a permutation of 1..n, so each node of the ideal walk runs
-    one finite-permutation kernel, independent of ``_find_twisted_conjugate``
-    and ``_proper_twisted_support``: v = y⁻¹∘r⁻¹, then v⁻¹, then
-    u(i) = n+1 - v⁻¹(n+1 - p(w)(v(i))), which is sigma(v)⁻¹·p(w)·v because
-    sigma(v)⁻¹(j) = n+1 - v⁻¹(n+1-j).  The letter s_i (1 <= i < n) is missing
-    from supp(u) iff max u(1..i) = i, and supp_sigma(u) is proper iff some i
-    has both s_i and s_(n-i) missing.
-    """
-    if not _full_twisted_support(w):
+    if r is None:
         return EmptinessVerdict(False)
-    n = w.n
-    _, _, y = decompose_xmy(w)
-    # 1-based tables: yi[j] = y⁻¹(j), flip[j] = n+1 - p(w)(j)
-    yi = [0, *_inv(y.window)]
-    flip = [0] + [n + 1 - t for t in _finite_part(w.window)]
-    vi = [0] * (n + 1)
-    for _, pos in _iter_inv_ideal(n, phi_w(w), budget):
-        v = [yi[q] for q in pos]
-        for i, t in enumerate(v, 1):
-            vi[t] = i
-        u = [n + 1 - vi[flip[t]] for t in v]
-        top = 0
-        gaps = set()  # the i with s_i missing from supp(u)
-        for i in range(1, n):
-            if u[i - 1] > top:
-                top = u[i - 1]
-            if top == i:
-                gaps.add(i)
-        if any(n - i in gaps for i in gaps):
-            return EmptinessVerdict(True, WeylElement(tuple(v), -y.similitude))
-    return EmptinessVerdict(False)
+    # w = phi^λ·y, so p(w) = y is the window reduced mod n
+    return EmptinessVerdict(True, WeylElement(_mul(_inv(_finite_part(w.window)), _inv(r))))
 
 
 def positive_coxeter_generic(w: WeylElement,

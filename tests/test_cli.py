@@ -242,6 +242,13 @@ def test_export_script_writes_classify_output(tmp_path, monkeypatch, capsys):
                               str(below), "--n-min", "1", "--n-max", "3")
     assert code == 2 and "usage:" in err and "--n-min must be at least 2" in err
     assert not below.exists()
+    # so is a reversed range
+    reversed_range = tmp_path / "reversed"
+    code, _, err = run_script(monkeypatch, capsys, "export_graphs.py", "--out-dir",
+                              str(reversed_range), "--n-min", "5", "--n-max", "3")
+    assert code == 2 and "usage:" in err
+    assert "--n-max must be at least --n-min (5), got 3" in err
+    assert not reversed_range.exists()
 
 
 def test_stratification_report_script(monkeypatch, capsys):
@@ -258,6 +265,10 @@ def test_stratification_report_script(monkeypatch, capsys):
                                 "--n-min", "1", "--n-max", "3")
     assert code == 2 and out == ""
     assert "usage:" in err and "--n-min must be at least 2" in err
+    code, out, err = run_script(monkeypatch, capsys, "stratification_report.py",
+                                "--n-min", "5", "--n-max", "3")
+    assert code == 2 and out == ""
+    assert "usage:" in err and "--n-max must be at least --n-min (5), got 3" in err
 
 
 def test_classify_ceiling_script(monkeypatch, capsys):
@@ -452,7 +463,7 @@ def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
 @pytest.mark.parametrize("module, name, fake, suite, line", [
     (gu, "classify_by_criterion", lambda n, k, l: StratumClass.EMPTY, "oracle",
      "[FAIL] oracle n=2: first counterexample (1,2): closed form dl, criterion empty"),
-    (reduction, "is_empty_basic_walk",
+    (reduction, "is_empty_basic_v_form",
      lambda w, budget: reduction.EmptinessVerdict(False), "oracle",
      "[FAIL] oracle n=3: first counterexample (2,3): closure empty, "
      "ideal walk empty=False"),
@@ -482,7 +493,7 @@ def test_check_oracle_skips_the_ideal_walk_above_its_cap(monkeypatch):
     def banned(*args):
         raise AssertionError("the ideal walk ran above WALK_N_MAX")
 
-    monkeypatch.setattr(reduction, "is_empty_basic_walk", banned)
+    monkeypatch.setattr(reduction, "is_empty_basic_v_form", banned)
     assert cli._check_oracle(cli.WALK_N_MAX + 1, roots.DEFAULT_BUDGET) == (
         True, "closed form = criterion on all labels")
 
