@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from importlib import resources
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .weyl import (
@@ -194,13 +193,13 @@ def classify(n: int, k: int, l: int) -> StratumClass:
 
 
 def classify_by_criterion(n: int, k: int, l: int) -> StratumClass:
-    """Stratum class recomputed from first definitions: the support test for
-    DL, then the emptiness criterion.  Oracle for ``classify``."""
-    w = w_kl(n, k, l)
-    if len(roots.supp_sigma(w)) != n:
-        return StratumClass.DL
-    verdict = reduction.is_empty_basic(w)
-    return StratumClass.EMPTY if verdict.empty else StratumClass.NOT_DL
+    """Stratum class recomputed from first definitions by one emptiness
+    verdict: DL when it stops at the support test (condition (i)), else
+    EMPTY or NOT_DL.  Oracle for ``classify``."""
+    verdict = reduction.is_empty_basic(w_kl(n, k, l))
+    if not verdict.full_support:
+        return _DL
+    return _EMPTY if verdict.empty else _NOT_DL
 
 
 # ---------------------------------------------------------------------------
@@ -465,5 +464,6 @@ def load_golden_summary(n: int) -> dict:
     """The checked-in node/edge transcription of the n=13 / n=14 figures."""
     if n not in (13, 14):
         raise ValueError("golden figures exist for n = 13 and n = 14 only")
+    from importlib import resources  # only here: keeps it off ``import adlv``
     path = resources.files("adlv").joinpath(f"fixtures/golden_n{n}.json")
     return json.loads(path.read_text())

@@ -414,6 +414,12 @@ class EmptinessVerdict:
     # present iff empty: the finite r of is_empty_basic, or the
     # length-positive v = y⁻¹·r⁻¹ of is_empty_basic_v_form
     witness: Optional[WeylElement] = None
+    # condition (i): supp_sigma(w) is the whole affine diagram; False means
+    # the verdict stopped there (w is DL, so not empty)
+    full_support: bool = True
+
+
+_PROPER_SUPPORT = EmptinessVerdict(False, full_support=False)
 
 
 def _full_twisted_support(w: WeylElement) -> bool:
@@ -485,9 +491,9 @@ def _tiered_witness(h: Sequence[int], edges: Iterable[Root]) -> Optional[Window]
             reach |= frontier
         if not (frontier or inside & (inside >> n)):  # complete and disjoint
             top, bottom = inside & ((1 << n) - 1), inside >> n
-            # B first, then the rest, then T, each by position: r⁻¹ 0-based
-            by_value = sorted(range(n), key=lambda p: (top >> p & 1) - (bottom >> p & 1))
-            return _inv(tuple(p + 1 for p in by_value))
+            # B first, then the rest, then T, each by position: r⁻¹
+            tiers = (bottom, ~(top | bottom), top)
+            return _inv(tuple([p + 1 for bits in tiers for p in range(n) if bits >> p & 1]))
         failed |= 1 << cycle[t]
     return None
 
@@ -499,10 +505,11 @@ def is_empty_basic(w: WeylElement) -> EmptinessVerdict:
     ``_tiered_witness``: Inv(r) ⊆ Phi_w and supp_sigma(r·y·sigma(r)⁻¹) is
     proper in the finite diagram.  The closure reads the roots outside Phi_w
     off the window (``roots._excluded_roots``), never lists Phi_w or
-    decomposes w, and takes no budget.
+    decomposes w, and takes no budget.  A verdict with ``full_support``
+    False stopped at condition (i).
     """
     if not _full_twisted_support(w):
-        return EmptinessVerdict(False)
+        return _PROPER_SUPPORT
     # w = phi^λ·y, so y is the window reduced mod n, z = y and h = z∘c
     # with c(p) = n + 1 - p is y read backwards
     r = _tiered_witness(_finite_part(w.window)[::-1], _excluded_roots(w.window))
@@ -537,10 +544,11 @@ def is_empty_basic_v_form(w: WeylElement,
     of ``_find_twisted_conjugate``.  A proper twisted support does not change
     under the sigma-twist, so its first r gives the first length-positive
     v = y⁻¹·r⁻¹ with supp_sigma(sigma(v)⁻¹·p(w)·v) proper: the witness.
-    Overrunning ``budget`` nodes raises BudgetExceededError.
+    Overrunning ``budget`` nodes raises BudgetExceededError.  A verdict with
+    ``full_support`` False stopped at condition (i), before any walk.
     """
     if not _full_twisted_support(w):
-        return EmptinessVerdict(False)
+        return _PROPER_SUPPORT
     r = _find_twisted_conjugate(w, budget, _proper_twisted_support)
     if r is None:
         return EmptinessVerdict(False)

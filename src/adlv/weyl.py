@@ -232,8 +232,10 @@ class WeylElement:
         return tuple(_descent_letters(self.window)), self.omega()
 
     def is_min_coset_rep(self) -> bool:
-        """Whether ℓ(s_i w) > ℓ(w) for every finite i (minimal in W_0 w)."""
-        return self.left_descents() <= {0}
+        """Whether ℓ(s_i w) > ℓ(w) for every finite i (minimal in W_0 w),
+        i.e. w⁻¹(1) < ... < w⁻¹(n); the entries of w⁻¹ are distinct."""
+        inv = _inv(self.window)
+        return sorted(inv) == list(inv)
 
     def __str__(self) -> str:
         body = ",".join(str(v) for v in self.window)

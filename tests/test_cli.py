@@ -477,8 +477,10 @@ def test_verify_reduction_reports_wrong_stable_set(monkeypatch, capsys):
      "[FAIL] reduction n=5: no verified certificate for (3,4)"),
     (gu, "load_golden_summary", lambda n: {}, "figures",
      "[FAIL] figures n=13: computed graph differs from the golden transcription"),
+    (reduction, "verify_chain", lambda *a, **k: False, "reduction",
+     "[FAIL] reduction chain convention: superscript word s3 s0 s1 at n=5"),
 ], ids=["criterion", "ideal-walk", "length", "support", "dimension",
-        "no-certificate", "figures"])
+        "no-certificate", "figures", "chain-convention"])
 def test_verify_reports_each_check_failure(monkeypatch, capsys, module, name,
                                            fake, suite, line):
     # a wrong closed form or oracle makes its check fail with its own

@@ -440,6 +440,8 @@ def test_stratum_graph_record_lookup():
 def test_golden_figures():
     for n in (13, 14):
         assert graph_summary(stratum_graph(n)) == load_golden_summary(n)
+    with pytest.raises(ValueError, match="n = 13 and n = 14 only"):
+        load_golden_summary(12)
 
 
 def test_golden_figures_byte_stable():

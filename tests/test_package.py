@@ -1,5 +1,6 @@
 """The package namespace: each module's ``__all__`` is its public API."""
 
+import os
 import re
 import subprocess
 import sys
@@ -26,6 +27,16 @@ def test_package_import_leaves_out_the_cli():
     probe = "import sys, adlv; print('adlv.cli' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_importlib_resources():
+    # only gu.load_golden_summary reads package data, and imports it there;
+    # -S keeps site's .pth files from importing it first
+    probe = "import sys, adlv.cli; print('importlib.resources' in sys.modules)"
+    src = str(Path(adlv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"
 
 

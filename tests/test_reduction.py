@@ -11,6 +11,7 @@ from adlv import reduction
 from adlv.reduction import (
     ArrowKind,
     BudgetExceededError,
+    EmptinessVerdict,
     IncreasingLengthError,
     LevelViolationError,
     NotMinCosetRepError,
@@ -434,7 +435,9 @@ def test_emptiness_examples():
     assert not is_empty_basic(w_kl(10, 3, 9)).empty
     # proper twisted support means nonempty regardless of condition (ii)
     verdict = is_empty_basic(w_kl(13, 1, 10))
-    assert not verdict.empty and verdict.witness is None
+    assert verdict == EmptinessVerdict(False, None, full_support=False)
+    assert is_empty_basic(w_kl(13, 4, 10)).full_support
+    assert is_empty_basic(w_kl(10, 3, 9)).full_support
     # the closure decides a not-DL label at rank 13 without a budget; the
     # walk oracle needs the whole constrained ideal, which overruns any sane
     # budget, and that must surface as an error
@@ -501,29 +504,21 @@ def test_v_form_budget_overrun_raises():
 
 @settings(max_examples=150, deadline=None)
 @given(weyl_elements(max_n=6, max_len=12))
-def test_v_form_matches_its_reference_on_minimal_representatives(w):
-    # any minimal coset representative phi^λ·y, not only the w_{k,l}: the
-    # witness is the element-level loop's first v, None when m is not empty
-    _, lam, y = decompose_xmy(w)
-    m = translation(lam) * y
-    verdict = is_empty_basic_v_form(m)
-    assert verdict.empty == is_empty_basic(m).empty
-    want = v_form_reference(m) if len(supp_sigma(m)) == m.n else None
-    assert verdict.witness == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(weyl_elements(max_n=6, max_len=12))
-def test_closure_matches_walk_on_minimal_representatives(w):
+def test_closure_matches_v_form_on_minimal_representatives(w):
     # any minimal coset representative phi^λ·y, not only the w_{k,l}
     _, lam, y = decompose_xmy(w)
     m = translation(lam) * y
-    verdict = is_empty_basic(m)
-    assert verdict.empty == is_empty_basic_v_form(m).empty
+    full = len(supp_sigma(m)) == m.n
+    verdict, walk = is_empty_basic(m), is_empty_basic_v_form(m)
+    assert verdict.full_support == walk.full_support == full
+    assert verdict.empty == walk.empty
     if verdict.empty:
         r = verdict.witness
         assert inv_set(r) <= phi_w(m)
         assert len(supp_sigma(r * y * r.sigma().inv())) < m.n - 1
+    # the v-form witness is the element-level loop's first v, None when m
+    # is not empty
+    assert walk.witness == (v_form_reference(m) if full else None)
 
 
 def _tiers_by_brute_force(h, allowed):

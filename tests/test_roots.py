@@ -52,6 +52,12 @@ def test_act_and_delta():
         act(tau_element(5), (1, 2))
 
 
+@pytest.mark.parametrize("finite_only", [inv_set, is_sigma_coxeter_finite])
+def test_finite_only_functions_reject_affine_elements(finite_only):
+    with pytest.raises(ValueError, match="requires a finite element"):
+        finite_only(tau_element(5))
+
+
 def test_inv_set_matches_length():
     for u in all_perm_elements(4):
         assert len(inv_set(u)) == u.length()

@@ -73,6 +73,8 @@ def test_window_validation():
         WeylElement((1, 4, 2))        # residue collision across a period
     with pytest.raises(ValueError):
         WeylElement((5,))             # rank too small
+    with pytest.raises(ValueError, match="out of range"):
+        simple_ref(5, 5)
 
 
 def test_rank_mismatch():
@@ -312,6 +314,14 @@ def test_min_coset_rep():
         for k in range(1, n):
             for l in range(k + 1, n + 1):
                 assert w_kl(n, k, l).is_min_coset_rep()
+
+
+@given(weyl_elements(max_n=12, max_len=12))
+def test_min_coset_rep_means_no_finite_left_descent(w):
+    # w and the minimal representative of its coset W_0·w
+    _, lam, y = decompose_xmy(w)
+    for u in (w, translation(lam) * y):
+        assert u.is_min_coset_rep() == (u.left_descents() <= {0})
 
 
 def test_decompose_identity_and_dominant_translation():
