@@ -29,21 +29,17 @@ from pathlib import Path
 WIN_SHARE = 0.9  # a claim needs at least 9 wins in 10 pairs
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """First quartile, median and third quartile (statistics' default,
-    exclusive method, which reads a wider spread from few runs)."""
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
-
-
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
     """The pair comparison of one metric: runs paired by index, ``better``
-    'lower' or 'higher'.  ``claim`` is whether a gain claim holds."""
+    'lower' or 'higher'.  ``parent`` and ``change`` in the result are each
+    side's first quartile, median and third quartile (statistics' default,
+    exclusive method, which reads a wider spread from few runs); ``claim``
+    is whether a gain claim holds."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two equally long lists of at least two runs")
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    pq, cq = quartiles(parent), quartiles(change)
+    pq, cq = statistics.quantiles(parent, n=4), statistics.quantiles(change, n=4)
     gain = sign * (cq[1] - pq[1])
     return {"parent": pq, "change": cq, "wins": wins, "pairs": len(parent),
             "gain": gain, "parent_iqr": pq[2] - pq[0],

@@ -14,6 +14,9 @@ fibration targets and ranks, supports, parahoric types, dimensions, closure
 order, positive-Coxeter detection) is mirrored by a generic computation in
 ``weyl``/``roots``/``reduction`` and the two are compared in the test suite;
 the closed form is the API's answer, the generic computation its oracle.
+The class oracle ``classify_by_criterion`` is one ``is_empty_basic`` verdict
+per label: its ``full_support`` flag (condition (i)) separates DL from the
+rest, and its ``empty`` flag EMPTY from NOT_DL.
 
 The closed forms of a label live in one place, the row loop ``_rows``, which
 yields one plain tuple per label, for empty labels too (only the supports and

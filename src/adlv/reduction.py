@@ -27,7 +27,10 @@ minimal coset representative w = phi^λ·y: the piece is empty iff
     (ii) some r with Inv(r) ⊆ Phi_w has supp_sigma(r·y·sigma(r)⁻¹) a proper
          subset of the finite diagram.
 
-It decides (ii) by a least-fixpoint closure, ``_tiered_witness``.  With
+Its ``EmptinessVerdict`` records (i) as ``full_support``: a verdict that
+stopped there has it False, so a caller that needs (i) as well, such as
+``gu.classify_by_criterion``, reads it off the one call.  It decides (ii) by
+a least-fixpoint closure, ``_tiered_witness``.  With
 h(p) = y(n+1-p), (ii) asks for disjoint sets T and B with h(T) = B and
 h(B) = T, T closed upward and B closed downward along the positive roots
 outside Phi_w; the witness is the tiered r that gives B the lowest values,
