@@ -431,13 +431,12 @@ def test_is_empty_requires_min_coset_rep():
 
 
 def test_emptiness_examples():
-    assert is_empty_basic(w_kl(13, 4, 10)).empty
-    assert not is_empty_basic(w_kl(10, 3, 9)).empty
+    empty, not_dl = is_empty_basic(w_kl(13, 4, 10)), is_empty_basic(w_kl(10, 3, 9))
+    assert empty.empty and empty.full_support
+    assert not not_dl.empty and not_dl.full_support
     # proper twisted support means nonempty regardless of condition (ii)
     verdict = is_empty_basic(w_kl(13, 1, 10))
     assert verdict == EmptinessVerdict(False, None, full_support=False)
-    assert is_empty_basic(w_kl(13, 4, 10)).full_support
-    assert is_empty_basic(w_kl(10, 3, 9)).full_support
     # the closure decides a not-DL label at rank 13 without a budget; the
     # walk oracle needs the whole constrained ideal, which overruns any sane
     # budget, and that must surface as an error
