@@ -503,21 +503,31 @@ def test_v_form_budget_overrun_raises():
 
 @settings(max_examples=150, deadline=None)
 @given(weyl_elements(max_n=6, max_len=12))
-def test_closure_matches_v_form_on_minimal_representatives(w):
-    # any minimal coset representative phi^λ·y, not only the w_{k,l}
+def test_v_form_matches_its_reference_on_minimal_representatives(w):
+    # any minimal coset representative phi^λ·y, not only the w_{k,l}: the
+    # witness is the element-level loop's first v, None when m is not empty
     _, lam, y = decompose_xmy(w)
     m = translation(lam) * y
     full = len(supp_sigma(m)) == m.n
+    verdict = is_empty_basic_v_form(m)
+    assert verdict.full_support == full
+    assert verdict.empty == is_empty_basic(m).empty
+    assert verdict.witness == (v_form_reference(m) if full else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weyl_elements(max_n=6, max_len=12))
+def test_closure_matches_walk_on_minimal_representatives(w):
+    # any minimal coset representative phi^λ·y, not only the w_{k,l}
+    _, lam, y = decompose_xmy(w)
+    m = translation(lam) * y
     verdict, walk = is_empty_basic(m), is_empty_basic_v_form(m)
-    assert verdict.full_support == walk.full_support == full
+    assert verdict.full_support == walk.full_support == (len(supp_sigma(m)) == m.n)
     assert verdict.empty == walk.empty
     if verdict.empty:
         r = verdict.witness
         assert inv_set(r) <= phi_w(m)
         assert len(supp_sigma(r * y * r.sigma().inv())) < m.n - 1
-    # the v-form witness is the element-level loop's first v, None when m
-    # is not empty
-    assert walk.witness == (v_form_reference(m) if full else None)
 
 
 def _tiers_by_brute_force(h, allowed):
