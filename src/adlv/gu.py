@@ -44,7 +44,6 @@ from .weyl import (
     decompose_xmy,
     translation,
 )
-from . import roots
 from . import reduction
 
 __all__ = [

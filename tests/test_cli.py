@@ -1,6 +1,5 @@
 """Command-line surface: formats, round trips, exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -211,6 +210,15 @@ def test_classify_dot_n200_is_pinned():
         "4fb7d5ee56fb8c354e962e0ec5874655798cfd8f6478ac3d2d0f7a9eaa2d540c")
 
 
+def test_entrypoint_exits_with_main_code(monkeypatch, capsys):
+    # the console script reads sys.argv and exits with main's code
+    monkeypatch.setattr(sys, "argv", ["adlv", "classify", "--n", "3", "--format", "dot"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.classify_text(3, "dot")
+
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -391,20 +399,14 @@ def test_verify_oracle_small(capsys):
 def test_verify_reduction_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "reduction", "--n-max", "7")
     assert code == 0
-    assert "chain convention" in out
+    assert out.splitlines() == [
+        "[ok] reduction chain convention: superscript word s3 s0 s1 at n=5",
+        *(f"[ok] reduction n={n}: {count} certificates found and re-verified, "
+          "plain and at the stratum level" for n, count in ((5, 1), (6, 1), (7, 3)))]
 
 
-def test_verify_reduction_reuses_the_plain_certificate_at_an_empty_level(monkeypatch):
-    # where the stable set is empty, the leveled search walks every letter in
-    # the plain order, so it finds the plain certificate at level frozenset()
-    for n in range(5, 12):
-        for rec in gu.stratum_records(n):
-            if rec.stratum_class is StratumClass.NOT_DL and not rec.s_w_sigma:
-                w, target = w_kl(n, *rec.label), w_kl(n, *rec.target)
-                plain = reduction.find_reduction(w, target)
-                assert reduction.find_reduction(w, target, level=frozenset()) == (
-                    dataclasses.replace(plain, level=frozenset()))
-    # so the suite searches once on such a label, and still verifies twice
+def test_verify_reduction_searches_once_per_label_at_its_level(monkeypatch):
+    # one leveled certificate per not-DL label stands for the plain one too
     searches, levels = [], []
     real_find, real_verify = reduction.find_reduction, reduction.ReductionCertificate.verify
 
@@ -421,9 +423,7 @@ def test_verify_reduction_reuses_the_plain_certificate_at_an_empty_level(monkeyp
     n = 9
     not_dl = [rec for rec in gu.stratum_records(n) if rec.stratum_class is StratumClass.NOT_DL]
     assert cli._check_reduction(n, roots.DEFAULT_BUDGET)[0]
-    assert searches == [level for rec in not_dl for level in (None, rec.s_w_sigma)
-                        if level is None or level]
-    assert levels == [level for rec in not_dl for level in (None, rec.s_w_sigma)]
+    assert searches == levels == [rec.s_w_sigma for rec in not_dl]
     assert frozenset() in levels
 
 

@@ -99,6 +99,17 @@ def test_brute_force_s_adm_stays_polynomial(monkeypatch):
         assert brute_force_s_adm(n) == s_admissible(n), n
 
 
+def test_brute_force_s_adm_catches_a_wrong_closed_form(monkeypatch):
+    # with every w_kl sent to w_{1,2}, the first candidate that is not w_{1,2}
+    # matches no label, and the oracle names it
+    real = gu.w_kl
+    monkeypatch.setattr(gu, "w_kl", lambda n, k, l: real(n, 1, 2))
+    with pytest.raises(AssertionError) as exc:
+        brute_force_s_adm(6)
+    assert str(exc.value).startswith(f"{real(6, 1, 3)}, the coset representative of ")
+    assert str(exc.value).endswith(" is not a minimal admissible w_kl")
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

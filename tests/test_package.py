@@ -1,5 +1,6 @@
 """The package namespace: each module's ``__all__`` is its public API."""
 
+import ast
 import os
 import re
 import subprocess
@@ -21,6 +22,48 @@ def test_package_exports_exactly_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(adlv, name) is getattr(module, name), (module.__name__, name)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never uses.  A name counts as used when
+    the code reads it, in an annotation too (quoted or not), or lists it in
+    ``__all__``; docstrings and comments do not count.  ``import *`` and
+    ``__future__`` imports are skipped."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names if alias.name != "*"}
+    quoted = [part.value for node in ast.walk(tree)
+              for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+              if ann is not None for part in ast.walk(ann)
+              if isinstance(part, ast.Constant) and isinstance(part.value, str)]
+    used = {node.id for code in (tree, *(ast.parse(q, mode="eval") for q in quoted))
+            for node in ast.walk(code) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_imports_reads_code_annotations_and_all():
+    assert unused_imports('"""Uses roots."""\nfrom . import roots, weyl\nweyl.tau1\n') == ["roots"]
+    assert unused_imports("import os.path\nimport sys as system\n") == ["os", "system"]
+    assert unused_imports("from typing import Optional\n"
+                          "def f(a: 'Optional[int]') -> None: pass\n") == []
+    assert unused_imports("from typing import Callable\nx: Callable\n") == []
+    assert unused_imports("from .weyl import *\nfrom .gu import w_kl\n"
+                          "__all__ = ['w_kl']\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(adlv.__file__).resolve().parent
+    unused = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := unused_imports(path.read_text()))}
+    assert unused == {}
 
 
 def test_package_import_leaves_out_the_cli():

@@ -28,7 +28,7 @@ from adlv.reduction import (
     _class_walk,
     _tiered_witness,
 )
-from adlv import roots
+from adlv import gu, roots
 from adlv.roots import (DEFAULT_BUDGET, inv_set, lp_set, phi_w, pos_roots, supp_sigma,
                         _excluded_roots)
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
@@ -419,6 +419,30 @@ def test_find_reduction_at_level():
     # every letter of the certificate commutes with the level
     for a in (*cert.to_pivot, cert.s, *cert.to_target):
         assert commutes_with_level(n, a, level)
+
+
+def test_find_reduction_at_an_empty_level_is_the_plain_certificate():
+    # where the stable set is empty, the leveled search walks every letter in
+    # the plain order, so it finds the plain certificate at level frozenset()
+    for n in range(5, 12):
+        for rec in gu.stratum_records(n):
+            if rec.stratum_class is StratumClass.NOT_DL and not rec.s_w_sigma:
+                w, target = w_kl(n, *rec.label), w_kl(n, *rec.target)
+                plain = reduction.find_reduction(w, target)
+                assert reduction.find_reduction(w, target, level=frozenset()) == (
+                    dataclasses.replace(plain, level=frozenset()))
+
+
+def test_leveled_certificate_is_a_plain_certificate():
+    # a level-legal arrow is an admitted arrow: every certificate found at the
+    # stable set still verifies with the level dropped
+    for n in range(5, 12):
+        for rec in gu.stratum_records(n):
+            if rec.stratum_class is StratumClass.NOT_DL:
+                cert = find_reduction(w_kl(n, *rec.label), w_kl(n, *rec.target),
+                                      level=rec.s_w_sigma)
+                assert cert is not None and cert.verify(), (n, rec.label)
+                assert dataclasses.replace(cert, level=None).verify(), (n, rec.label)
 
 
 # ---------------------------------------------------------------------------
