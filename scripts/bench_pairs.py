@@ -14,8 +14,11 @@ For every end-to-end metric of CHANGE's BENCHMARK.json it prints each side's
 median and quartiles, the number of pairs the change wins (strictly better in
 the metric's direction), and whether a gain claim holds: the change wins at
 least 9 in 10 pairs, and its median is better than the parent's by more than
-the parent's interquartile range.  The exit code is 0 when every run
-answered correctly, 1 otherwise.
+the parent's interquartile range.  A run that fails (bench/run.py exits
+nonzero) is reported with its side, seed and last line of stderr, and the
+series goes on; a pair with a failed run is left out of every verdict.  The
+exit code is 0 when every run finished and answered correctly, 1 otherwise,
+and 1 with no table when fewer than two complete pairs remain.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9  # a claim needs at least 9 wins in 10 pairs
+SIDES = ("parent", "change")
 
 
 def verdict(parent: list[float], change: list[float], better: str) -> dict:
@@ -47,12 +51,14 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``root``; its result object."""
+    """One untraced benchmark run in ``root``: its result object, or, when
+    the run fails, ``error`` (the last line of its stderr) and not ``correct``."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=root, capture_output=True, text=True)
     if out.returncode != 0:
-        raise SystemExit(f"bench/run.py failed in {root} (seed {seed}):\n{out.stderr}")
+        lines = out.stderr.strip().splitlines() or [f"exit code {out.returncode}"]
+        return {"error": lines[-1], "correct": False}
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -69,30 +75,40 @@ def main() -> int:
         ap.error(f"--pairs must be at least 2, got {args.pairs}")
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs = {"parent": [], "change": []}
+    pairs = []  # one {side: result object} per pair
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        seed = args.seed + i
+        pair = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             root = args.parent if side == "parent" else args.change
-            runs[side].append(run_bench(root, args.workload, args.seed + i, args.seconds))
-        print(f"# pair {i + 1}/{args.pairs} seed {args.seed + i} done", flush=True)
+            pair[side] = run = run_bench(root, args.workload, seed, args.seconds)
+            if "error" in run:
+                print(f"# {side} run failed (seed {seed}): {run['error']}", flush=True)
+        pairs.append(pair)
+        print(f"# pair {i + 1}/{args.pairs} seed {seed} done", flush=True)
 
-    print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"seeds {args.seed}..{args.seed + args.pairs - 1}")
+    complete = [pair for pair in pairs if not any("error" in run for run in pair.values())]
+    crashed = {side: sum("error" in pair[side] for pair in pairs) for side in SIDES}
+    print(f"# {args.workload}: {len(complete)} complete of {args.pairs} pairs of "
+          f"{args.seconds:g} s runs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+    print(f"# failed runs: parent {crashed['parent']}, change {crashed['change']}")
+    if len(complete) < 2:
+        print("# fewer than 2 complete pairs: no verdict")
+        return 1
     print(f"{'metric':<12} {'parent q1 / p50 / q3':>30} {'change q1 / p50 / q3':>30} "
           f"{'wins':>6} {'change':>8} claim")
     for metric in metrics:
         name = metric["name"]
-        got = verdict(*([run["metrics"][name]["value"] for run in runs[side]]
-                        for side in ("parent", "change")), metric["better"])
+        got = verdict(*([pair[side]["metrics"][name]["value"] for pair in complete]
+                        for side in SIDES), metric["better"])
         (p1, p2, p3), (c1, c2, c3) = got["parent"], got["change"]
         print(f"{name:<12} {p1:>9.4g} / {p2:>9.4g} / {p3:>9.4g}"
               f" {c1:>9.4g} / {c2:>9.4g} / {c3:>9.4g}"
               f" {got['wins']:>3}/{got['pairs']:<2} {(c2 - p2) / p2:>+8.1%} "
               f"{'holds' if got['claim'] else 'no'}")
-    failed = {side: sum(run["failed"] for run in rs) for side, rs in runs.items()}
+    failed = {side: sum(pair[side].get("failed", 0) for pair in pairs) for side in SIDES}
     print(f"# failed requests: parent {failed['parent']}, change {failed['change']}")
-    return 0 if all(run["correct"] for rs in runs.values() for run in rs) else 1
+    return 0 if all(run["correct"] for pair in pairs for run in pair.values()) else 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ def classify_json(n: int) -> str:
         else _JSON_NOT_DL % (k, l, length, dim, *target, rank, *base, parahoric, supp,
                              stable, "true" if pos else "false")
         for k, l, cls, length, supp, stable, dim, target, rank, base, parahoric, _, pos
-        in gu._rows(n, supp=_json_list, stable=_json_list, parahoric=_json_list)]
+        in gu._rows(n, sets=_json_list, parahoric=_json_list)]
     # the head and tail ride on the first and last stratum: one join, no other copy
     strata[0] = '{\n  "schema": 1,\n  "n": %d,\n  "strata": [\n' % n + strata[0]
     strata[-1] += "\n  ]\n}"

@@ -27,7 +27,8 @@ or not at all; ``supp_sigma_closed`` and ``s_closed`` wrap the same bounds.
 ``stratum_records`` runs it on all labels, ``stratum_graph`` on the nonempty
 ones, and ``stratum_record``, ``w_prime`` and ``positive_coxeter_closed`` on
 one label (the last two build no set).  ``adlv classify`` formats the rows
-directly, with no record.
+directly, with no record.  The oracles and those two readers stay out of
+``__all__``: ``verify``, the tests and the benchmark reach them here.
 """
 
 from __future__ import annotations
@@ -54,20 +55,14 @@ __all__ = [
     "NotApplicableError",
     "mu",
     "b_element",
-    "tau_element",
     "w_kl",
     "s_admissible",
-    "brute_force_s_adm",
     "classify",
-    "classify_by_criterion",
-    "w_prime",
     "supp_sigma_closed",
     "s_closed",
     "dim_basic_locus",
     "top_strata",
     "closure_leq",
-    "geq_s_sigma",
-    "positive_coxeter_closed",
     "stratum_record",
     "stratum_records",
     "stratum_graph",
@@ -135,11 +130,6 @@ def w_kl(n: int, k: int, l: int) -> WeylElement:
     window = list(range(1, k)) + [-1] + list(range(k, n - 1))
     window.insert(l - 1, 0)
     return WeylElement(tuple(window), mu(n).similitude)
-
-
-def tau_element(n: int) -> WeylElement:
-    """The length-zero stratum representative w_{1,2}."""
-    return w_kl(n, 1, 2)
 
 
 def _pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -295,36 +285,37 @@ _Form = Optional[Callable[[Iterable[int]], object]]  # a set's increasing ints -
 
 
 def _rows(n: int, labels: Optional[Iterable[tuple[int, int]]] = None,
-          keep: tuple = tuple(StratumClass), what: Optional[str] = None, supp: _Form = None,
-          stable: _Form = None, parahoric: _Form = None, letters: _Form = None
-          ) -> Iterator[tuple]:
+          keep: tuple = tuple(StratumClass), sets: _Form = None,
+          parahoric: _Form = None, letters: _Form = None) -> Iterator[tuple]:
     """
     The closed forms of ``labels`` (default: all), one plain tuple per label
     in order, one ``classify`` each: the fields of ``StratumRecord`` with the
     label split into k, l and ``target`` and ``base`` as plain pairs.  A label
-    of a class not in ``keep`` is dropped before any of its sets is built, or
-    raises NotApplicableError when ``what`` names a datum asked of it.
+    of a class not in ``keep`` raises NotApplicableError, naming its class,
+    the label and n, when the caller names ``labels``; in the sweep of all
+    labels it is dropped before any of its sets is built.
 
-    Each set kind comes in the form its argument makes of the set's increasing
-    ints, built once per distinct int key; a kind without a form is None in
+    ``sets`` makes the form of the support and the stable set, ``parahoric``
+    and ``letters`` that of their kind, each from the set's increasing ints
+    and built once per distinct int key; a kind without a form is None in
     every row.  Equal stable sets share one form.
     """
     cap, hyperspecial = (n + 4) // 2, parahoric and parahoric(range(1, n))
     supps, stables, parahorics, letter_sets, distinct = {}, {}, {}, {}, {}
     for k, l in _pairs(n) if labels is None else labels:
         if (cls := classify(n, k, l)) not in keep:
-            if what:
-                raise NotApplicableError(f"{what} is undefined on the {cls.value} "
-                                         f"label ({k},{l})")
+            if labels is not None:
+                raise NotApplicableError(f"undefined on the {cls.value} label "
+                                         f"({k},{l}) at n={n}")
             continue
         skey = (l if l < cap else cap) * 2 + (k == 1)  # the runs meet once 2l >= n+3
         # l fixes the stable set when k+l <= n+1, else k; odd letters join only at l = k+1
         key = (l if k + l <= n + 1 else -k) * 2 + (l == k + 1)
         s = t = None
-        if supp and (s := supps.get(skey)) is None:
-            s = supps[skey] = supp(itertools.chain(*_supp_runs(n, k, l)))
-        if stable and (t := stables.get(key)) is None:
-            t = stables[key] = distinct.setdefault(t := stable(
+        if sets and (s := supps.get(skey)) is None:
+            s = supps[skey] = sets(itertools.chain(*_supp_runs(n, k, l)))
+        if sets and (t := stables.get(key)) is None:
+            t = stables[key] = distinct.setdefault(t := sets(
                 itertools.chain(*_stable_runs(n, k, l))), t)
         length = k + l - 3
         if cls is _EMPTY:
@@ -351,24 +342,24 @@ def _rows(n: int, labels: Optional[Iterable[tuple[int, int]]] = None,
                    hyperspecial, j, k == (n + 1) // 2 or l == cap)
 
 
-_FROZENSETS = dict.fromkeys(("supp", "stable", "parahoric", "letters"), frozenset)
+_FROZENSETS = dict.fromkeys(("sets", "parahoric", "letters"), frozenset)
 
 
 def _records(n: int, labels: Optional[Iterable[tuple[int, int]]] = None,
-             keep: tuple = tuple(StratumClass), what: Optional[str] = None,
-             forms: dict = _FROZENSETS) -> list[StratumRecord]:
+             keep: tuple = tuple(StratumClass), forms: dict = _FROZENSETS
+             ) -> list[StratumRecord]:
     """``_rows`` as records, sets as frozensets; without ``forms``, no sets."""
     return [StratumRecord(StratumLabel(k, l), cls, length, s, t, dim,
                           target and StratumLabel(*target), rank,
                           base and StratumLabel(*base), p, j, pos)
             for k, l, cls, length, s, t, dim, target, rank, base, p, j, pos
-            in _rows(n, labels, keep, what, **forms)]
+            in _rows(n, labels, keep, **forms)]
 
 
 def stratum_record(n: int, k: int, l: int) -> StratumRecord:
     """The closed-form record of a nonempty label (fields: ``StratumRecord``),
     the one per-label entry point; NotApplicableError on an empty label."""
-    return _records(n, ((k, l),), (_DL, _NOT_DL), "the stratum record")[0]
+    return _records(n, ((k, l),), (_DL, _NOT_DL))[0]
 
 
 def stratum_records(n: int) -> list[StratumRecord]:
@@ -378,7 +369,7 @@ def stratum_records(n: int) -> list[StratumRecord]:
 
 def w_prime(n: int, k: int, l: int) -> StratumLabel:
     """One-step fibration target of a non-DL stratum."""
-    return _records(n, ((k, l),), (_NOT_DL,), "the fibration target", {})[0].target
+    return _records(n, ((k, l),), (_NOT_DL,), {})[0].target
 
 
 def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
@@ -388,8 +379,7 @@ def positive_coxeter_closed(n: int, k: int, l: int) -> bool:
     ...  [(13, 7, 10), (12, 6, 9), (13, 3, 8), (12, 3, 8), (13, 3, 12)]]
     [True, True, True, True, False]
     """
-    return _records(n, ((k, l),), (_NOT_DL,), "positive-Coxeter detection",
-                    {})[0].positive_coxeter
+    return _records(n, ((k, l),), (_NOT_DL,), {})[0].positive_coxeter
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,6 @@ __all__ = [
     "approx_equiv",
     "find_reduction",
     "is_empty_basic",
-    "is_empty_basic_v_form",
-    "positive_coxeter_generic",
 ]
 
 

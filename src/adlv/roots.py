@@ -62,7 +62,6 @@ from .weyl import (
 
 __all__ = [
     "Root",
-    "pos_roots",
     "phi_w",
     "supp",
     "supp_sigma",

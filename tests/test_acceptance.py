@@ -28,7 +28,6 @@ from adlv.gu import (
     stratum_graph,
     stratum_record,
     supp_sigma_closed,
-    tau_element,
     top_strata,
     w_kl,
     w_prime,
@@ -218,7 +217,7 @@ def test_criterion_8_group_substrate():
     """Frame identities, diagram twists, dual length formulas, brute-force
     admissible set, Bruhat versus the subword oracle."""
     for n in range(2, 21):
-        t1, t, b = tau1(n), tau_element(n), b_element(n)
+        t1, t, b = tau1(n), w_kl(n, 1, 2), b_element(n)
         assert t1.inv() * b * t1.sigma() == t, n
         for i in range(n):
             assert simple_ref(n, i).sigma() == simple_ref(n, (n - i) % n), (n, i)

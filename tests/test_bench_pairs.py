@@ -1,14 +1,16 @@
-"""The verdict of ``scripts/bench_pairs.py`` on fixed numbers, with no
-benchmark run."""
+"""The verdict of ``scripts/bench_pairs.py`` on fixed numbers, and its
+series with a stubbed runner, with no benchmark run."""
 
+import json
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 bench_pairs = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"))
-verdict = bench_pairs["verdict"]
+verdict, main = bench_pairs["verdict"], bench_pairs["main"]
 
 PARENT = [0.050, 0.052, 0.048, 0.051, 0.053, 0.049, 0.050, 0.054, 0.047, 0.051]
 
@@ -55,3 +57,40 @@ def test_runs_must_pair_up():
         verdict(PARENT, PARENT[:-1], "lower")
     with pytest.raises(ValueError):
         verdict([1.0], [0.5], "lower")
+
+
+def test_a_failed_run_drops_its_pair_and_the_series_goes_on(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+
+    def stub(root, workload, seed, seconds):
+        if root == change and seed == 1002:
+            return {"error": "IndexError: list index out of range", "correct": False}
+        wall = PARENT[seed - 1000] - (0.006 if root == change else 0)
+        return {"metrics": {"wall_s": {"value": wall}}, "correct": True, "failed": 0}
+
+    monkeypatch.setitem(main.__globals__, "run_bench", stub)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(tmp_path / "parent"), str(change),
+                                      "--workload", "w", "--pairs", "5", "--seed", "1000"])
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert "# change run failed (seed 1002): IndexError: list index out of range" in out
+    assert "# w: 4 complete of 5 pairs" in out
+    assert "# failed runs: parent 0, change 1" in out
+    row = next(line for line in out.splitlines() if line.startswith("wall_s"))
+    # the verdict reads pairs 1, 2, 4 and 5: parent median 0.0515, four wins
+    assert "/    0.0515 /" in row and " 4/4 " in row
+
+
+def test_fewer_than_two_complete_pairs_give_no_verdict(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    monkeypatch.setitem(main.__globals__, "run_bench",
+                        lambda root, workload, seed, seconds: {"error": "boom", "correct": False})
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(tmp_path), str(tmp_path),
+                                      "--workload", "w", "--pairs", "2"])
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert "# failed runs: parent 2, change 2" in out
+    assert "fewer than 2 complete pairs: no verdict" in out

@@ -24,6 +24,20 @@ def test_package_exports_exactly_the_module_lists():
             assert getattr(adlv, name) is getattr(module, name), (module.__name__, name)
 
 
+def test_oracles_and_traced_readers_stay_off_the_package():
+    # module attributes that verify, the tests and the benchmark reach through
+    # their module; the package exports none of them
+    kept = {gu: ("classify_by_criterion", "brute_force_s_adm", "geq_s_sigma",
+                 "w_prime", "positive_coxeter_closed"),
+            reduction: ("is_empty_basic_v_form", "positive_coxeter_generic"),
+            roots: ("pos_roots",)}
+    for module, names in kept.items():
+        for name in names:
+            assert callable(getattr(module, name)), (module.__name__, name)
+            assert name not in module.__all__ and not hasattr(adlv, name), name
+    assert not hasattr(gu, "tau_element")
+
+
 def unused_imports(source: str) -> list[str]:
     """The names a module imports and never uses.  A name counts as used when
     the code reads it, in an annotation too (quoted or not), or lists it in

@@ -33,7 +33,7 @@ from adlv.roots import (DEFAULT_BUDGET, inv_set, lp_set, phi_w, pos_roots, supp_
                         _excluded_roots)
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
-from adlv.gu import (StratumClass, classify, s_admissible, s_closed, tau_element, w_kl,
+from adlv.gu import (StratumClass, classify, s_admissible, s_closed, w_kl,
                      w_prime)
 
 from conftest import (
@@ -59,7 +59,7 @@ def _tau_word(n, word):
 def test_arrow_on_length_zero_is_preserving():
     # on a length-zero element every admitted arrow preserves length;
     # at n=5 exactly s_4 is admitted (conjugation by tau shifts indices by 2)
-    t = tau_element(5)
+    t = w_kl(5, 1, 2)
     admitted = []
     for i in range(5):
         if conj_by_simple(t, i).length() == 0:
@@ -661,7 +661,7 @@ def test_emptiness_never_lists_phi_w(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_positive_coxeter_examples():
-    assert positive_coxeter_generic(tau_element(5))
+    assert positive_coxeter_generic(w_kl(5, 1, 2))
     assert positive_coxeter_generic(w_kl(9, 5, 6))
     assert not positive_coxeter_generic(w_kl(9, 3, 8))
     # k = (n+1)/2 at n = 13; the finite part itself is the witness

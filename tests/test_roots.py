@@ -24,7 +24,7 @@ from adlv.roots import (
     tau_sigma_orbits,
 )
 from adlv.weyl import WeylElement, decompose_xmy, from_word, identity, simple_ref
-from adlv.gu import s_admissible, s_closed, tau_element, w_kl
+from adlv.gu import s_admissible, s_closed, w_kl
 
 from conftest import (
     act,
@@ -49,13 +49,13 @@ def test_act_and_delta():
     assert act(identity(5), (1, 3)) == (1, 3)
     assert delta_plus((2, 1)) == 0 and delta_plus((1, 2)) == 1
     with pytest.raises(ValueError):
-        act(tau_element(5), (1, 2))
+        act(w_kl(5, 1, 2), (1, 2))
 
 
 @pytest.mark.parametrize("finite_only", [inv_set, is_sigma_coxeter_finite])
 def test_finite_only_functions_reject_affine_elements(finite_only):
     with pytest.raises(ValueError, match="requires a finite element"):
-        finite_only(tau_element(5))
+        finite_only(w_kl(5, 1, 2))
 
 
 def test_inv_set_matches_length():
@@ -69,7 +69,7 @@ def test_inv_set_matches_length():
 
 def test_phi_w_identity_is_all_positive_roots():
     assert phi_w(identity(5)) == frozenset(pos_roots(5))
-    assert phi_w(tau_element(5)) == frozenset(pos_roots(5))
+    assert phi_w(w_kl(5, 1, 2)) == frozenset(pos_roots(5))
 
 
 def test_phi_w_closed_form_on_strata():
@@ -143,8 +143,8 @@ def test_lp_contains_y_inverse(w):
 def test_r_set_unconstrained_is_whole_group():
     for n in (3, 4, 5):
         full = set(all_perm_elements(n))
-        assert set(r_set(tau_element(n))) == full
-        assert set(lp_set(tau_element(n))) == full
+        assert set(r_set(w_kl(n, 1, 2))) == full
+        assert set(lp_set(w_kl(n, 1, 2))) == full
         assert set(lp_set(identity(n))) == full
         assert identity(n) in r_set(w_kl(n, 1, n))
 
@@ -228,7 +228,7 @@ def test_ideal_walk_queue_is_bounded_by_budget():
 
 def test_supp_basics():
     assert supp(identity(5)) == frozenset()
-    assert supp(tau_element(5)) == frozenset()
+    assert supp(w_kl(5, 1, 2)) == frozenset()
     assert supp(w_kl(5, 1, 5)) == {0, 1, 2}
     assert supp_sigma(identity(5)) == frozenset()
     assert supp_sigma(simple_ref(5, 1)) == {1, 4}
@@ -250,7 +250,7 @@ def test_supp_matches_reduced_word_on_labels_to_20():
 def test_supp_sigma_examples():
     assert supp_sigma(w_kl(13, 1, 7)) == frozenset({0, 1, 2, 3, 4, 7, 8, 9, 10, 11})
     assert supp_sigma(w_kl(13, 3, 12)) == frozenset(range(13))
-    assert supp_sigma(tau_element(5)) == frozenset()
+    assert supp_sigma(w_kl(5, 1, 2)) == frozenset()
 
 
 @given(weyl_elements(max_n=8, max_len=10),
@@ -277,14 +277,14 @@ def test_supp_sigma_stable_and_minimal(w, rng):
 def test_tau_sigma_orbit_partition():
     # odd rank: {n-1}, {0, n-2}, {1, n-3}, ..., {(n-3)/2, (n-1)/2}
     for n in (5, 7, 13):
-        m = tau_element(n).omega()
+        m = w_kl(n, 1, 2).omega()
         orbits = set(tau_sigma_orbits(n, m))
         expected = {frozenset({n - 1})}
         expected |= {frozenset({i, (n - 2 - i) % n}) for i in range((n - 1) // 2)}
         assert orbits == expected
     # even rank picks up the extra fixed point {n/2 - 1}
     for n in (6, 8, 14):
-        m = tau_element(n).omega()
+        m = w_kl(n, 1, 2).omega()
         orbits = set(tau_sigma_orbits(n, m))
         expected = {frozenset({n - 1}), frozenset({n // 2 - 1})}
         expected |= {frozenset({i, (n - 2 - i) % n}) for i in range(n // 2 - 1)}
@@ -341,7 +341,7 @@ def test_s_w_sigma_is_maximum_stable_subset(n):
 def test_s_w_sigma_examples():
     assert s_w_sigma(w_kl(13, 1, 10)) == {5, 6, 7}
     assert s_w_sigma(w_kl(13, 7, 8)) == frozenset()
-    assert s_w_sigma(tau_element(5)) == {1, 2, 4}
+    assert s_w_sigma(w_kl(5, 1, 2)) == {1, 2, 4}
 
 
 def test_s_w_sigma_matches_oracle_on_labels_to_20():
@@ -375,7 +375,7 @@ def test_s_w_sigma_stable(w):
 
 def test_sigma_coxeter_basics():
     assert is_sigma_coxeter(identity(5))
-    assert is_sigma_coxeter(tau_element(5))
+    assert is_sigma_coxeter(w_kl(5, 1, 2))
     # single letter: s_1 · tau
     w = from_word(5, [1], omega=-2, similitude=-1)
     assert is_sigma_coxeter(w)

@@ -17,7 +17,7 @@ from adlv.weyl import (
     _left_mul,
     _mul,
 )
-from adlv.gu import b_element, mu, tau_element, w_kl
+from adlv.gu import b_element, mu, w_kl
 
 from conftest import (
     bruhat_count_oracle,
@@ -83,7 +83,7 @@ def test_rank_mismatch():
 
 
 def test_str_form():
-    assert str(tau_element(5)) == "[-1,0,1,2,3];sim=-1"
+    assert str(w_kl(5, 1, 2)) == "[-1,0,1,2,3];sim=-1"
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_simple_reflection_involution_and_braid():
 
 def test_length_basics():
     assert identity(6).length() == 0
-    assert tau_element(5).length() == 0
+    assert w_kl(5, 1, 2).length() == 0
     assert w_kl(5, 3, 4).length() == 4
     for n in range(2, 9):
         for i in range(n):
@@ -181,7 +181,7 @@ def test_sigma_on_simples_and_translations():
 
 def test_tau_conjugation_shifts_simples_by_two():
     for n in range(2, 21):
-        t = tau_element(n)
+        t = w_kl(n, 1, 2)
         for i in range(n):
             assert t * simple_ref(n, i) * t.inv() == simple_ref(n, (i - 2) % n)
 
@@ -189,7 +189,7 @@ def test_tau_conjugation_shifts_simples_by_two():
 def test_tau1_frame_identity():
     for n in range(2, 21):
         t1 = tau1(n)
-        assert t1.inv() * b_element(n) * t1.sigma() == tau_element(n)
+        assert t1.inv() * b_element(n) * t1.sigma() == w_kl(n, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_omega_component_values():
     assert tau1(7).omega() == 1
     assert identity(7).omega() == 0
     # the base coset sits at Omega-component -2 (the coordinate sum of mu)
-    t = tau_element(5)
+    t = w_kl(5, 1, 2)
     assert t.omega() == -2
     v, m = t.affine_part()
     assert m == -2 and v.window == identity(5).window
