@@ -10,6 +10,11 @@ each checkout, one run at a time, the parent first in even pairs and the
 change first in odd ones, so a drift of the host's speed falls on both sides.
 Each run's last output line is its result object.
 
+It first prints two facts the metrics do not show: whether the runs write
+a bytecode cache (not when PYTHONDONTWRITEBYTECODE is set, which the runs
+inherit; then every run compiles the package) and each checkout's
+`src/adlv/*.py` line count.
+
 For every end-to-end metric of CHANGE's BENCHMARK.json it prints each side's
 median and quartiles, the number of pairs the change wins (strictly better in
 the metric's direction), and whether a gain claim holds: the change wins at
@@ -24,6 +29,7 @@ and 1 with no table when fewer than two complete pairs remain.
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -50,6 +56,17 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
             "claim": wins >= math.ceil(WIN_SHARE * len(parent)) and gain > pq[2] - pq[0]}
 
 
+def header(parent: Path, change: Path) -> list[str]:
+    """The bytecode-cache and source-size lines printed before the pairs."""
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    cache = f"not written (PYTHONDONTWRITEBYTECODE={flag})" if flag else "written and reused"
+    size = {root: sum(len(path.read_text().splitlines())
+                      for path in (root / "src" / "adlv").glob("*.py"))
+            for root in (parent, change)}
+    return [f"# bytecode cache of the runs: {cache}",
+            f"# src/adlv/*.py lines: parent {size[parent]}, change {size[change]}"]
+
+
 def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``root``: its result object, or, when
     the run fails, ``error`` (the last line of its stderr) and not ``correct``."""
@@ -74,6 +91,7 @@ def main() -> int:
     if args.pairs < 2:
         ap.error(f"--pairs must be at least 2, got {args.pairs}")
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    print("\n".join(header(args.parent, args.change)), flush=True)
 
     pairs = []  # one {side: result object} per pair
     for i in range(args.pairs):

@@ -88,6 +88,7 @@ class StratumClass(enum.Enum):
 
 # bound once: an Enum class-attribute read costs a quarter of a classify call
 _DL, _NOT_DL, _EMPTY = StratumClass.DL, StratumClass.NOT_DL, StratumClass.EMPTY
+_SIMILITUDE = -1  # of μ, and so of every w_{k,l}
 
 
 def _check_rank(n: int) -> None:
@@ -107,7 +108,7 @@ def _check_label(n: int, k: int, l: int) -> None:
 def mu(n: int) -> Cocharacter:
     """The GU(2, n-2) cocharacter ((0^(n-2), -1, -1), -1)."""
     _check_rank(n)
-    return Cocharacter((0,) * (n - 2) + (-1, -1), -1)
+    return Cocharacter((0,) * (n - 2) + (-1, -1), _SIMILITUDE)
 
 
 def b_element(n: int) -> WeylElement:
@@ -129,7 +130,7 @@ def w_kl(n: int, k: int, l: int) -> WeylElement:
     _check_label(n, k, l)
     window = list(range(1, k)) + [-1] + list(range(k, n - 1))
     window.insert(l - 1, 0)
-    return WeylElement(tuple(window), mu(n).similitude)
+    return WeylElement(tuple(window), _SIMILITUDE)
 
 
 def _pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -154,11 +155,10 @@ def brute_force_s_adm(n: int) -> frozenset[StratumLabel]:
     a minimal coset representative below phi^λ in Bruhat order and equal some
     w_{k,l}, else AssertionError.  s_admissible is the production answer.
     """
-    sim = mu(n).similitude
     by_element = {w_kl(n, *lab): lab for lab in s_admissible(n)}
     labels = set()
     for pair in itertools.combinations(range(n), 2):  # W·μ: two -1 slots
-        t = translation(Cocharacter(tuple(-(i in pair) for i in range(n)), sim))
+        t = translation(Cocharacter(tuple(-(i in pair) for i in range(n)), _SIMILITUDE))
         _, lam, y = decompose_xmy(t)
         rep = translation(lam) * y
         if not (rep.is_min_coset_rep() and bruhat_leq(rep, t) and rep in by_element):
@@ -390,29 +390,11 @@ def closure_leq(a: StratumLabel | tuple[int, int],
                 b: StratumLabel | tuple[int, int]) -> bool:
     """Whether stratum a lies in the closure of stratum b, by the
     componentwise order.  The order is exact only when the upper label b is
-    DL: the twisted order ``geq_s_sigma`` puts (1,5) below the not-DL (3,4)
-    at n = 5, which this order denies (the tests pin every disagreement and
-    the agreement below each DL label at n <= 6)."""
+    DL: the twisted order (w_b >= u⁻¹·w_a·sigma(u) for some finite u, searched
+    exhaustively in the tests) puts (1,5) below the not-DL (3,4) at n = 5,
+    which this order denies (the tests pin every disagreement and the
+    agreement below each DL label at n <= 6)."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
-    """Whether w >= u⁻¹ · other · sigma(u) for some finite u (exhaustive over
-    the finite group; guarded to n <= 7).  Each twisted conjugate is tested
-    as it is formed, a repeated one is skipped, and the first one below w
-    answers."""
-    n = w.n
-    if n > 7:
-        raise ValueError("exhaustive twisted-order search is limited to n <= 7")
-    seen = set()
-    for perm in itertools.permutations(range(1, n + 1)):
-        u = WeylElement(perm)
-        c = u.inv() * other * u.sigma()
-        if c not in seen:
-            if bruhat_leq(c, w):
-                return True
-            seen.add(c)
-    return False
 
 
 # ---------------------------------------------------------------------------

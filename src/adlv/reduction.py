@@ -6,18 +6,21 @@ For a simple affine reflection s and an element w, the arrow w -> s·w·sigma(s)
 is admitted when it does not increase length; its kind records whether the
 length is preserved or drops by two.  Chains of arrows are written in
 superscript order: the word (a_k, ..., a_1, a_0) means "apply s_{a_0} first,
-then s_{a_1}, ...", i.e. the input list is consumed right to left.  Equal
-length elements connected by arrows form classes explored by one bounded,
-resumable breadth-first walk, ``_class_walk``: a generator that handles one
-class node at a time.  It reads each arrow's length change off two descents
-of the node (Deodhar's lemma), builds only the images of arrows that keep or
-drop length, records the same-length images as parents at discovery, and
-yields the node once with its drops, the arrows that lower length by two.
-``approx_equiv`` stops after the node that discovers the other element;
-``find_reduction`` stops at the first drop into the target's class,
-advancing the target's own walk node by node only as far as each drop
-needs.  Running out of budget raises (it is never reported as "not
-equivalent" or "no reduction").
+then s_{a_1}, ...", i.e. the input list is consumed right to left.  ``arrow``,
+``verify_chain`` and ``ReductionCertificate.verify`` take each step on the
+bare window by ``_walk``: O(n) an arrow, Shi's formula on a chain's source.
+
+Equal length elements connected by arrows form classes explored by one
+bounded, resumable breadth-first walk, ``_class_walk``, which shares no code
+with ``_walk``: a generator that handles one class node at a time.  It
+reads each arrow's length change off two descents of the node (Deodhar's
+lemma), builds only the images of arrows that keep or drop length, records
+the same-length images as parents at discovery, and yields the node once
+with its drops, the arrows that lower length by two.  ``approx_equiv`` stops
+after the node that discovers the other element; ``find_reduction`` stops at
+the first drop into the target's class, advancing the target's own walk node
+by node only as far as each drop needs.  Running out of budget raises (it is
+never reported as "not equivalent" or "no reduction").
 
 ``is_empty_basic`` decides emptiness of the basic-locus piece attached to a
 minimal coset representative w = phi^λ·y: the piece is empty iff
@@ -63,9 +66,10 @@ from .weyl import (
     decompose_xmy,
     _finite_part,
     _inv,
+    _left_mul,
     _mul,
+    _right_mul,
     _sigma,
-    _simple_window,
 )
 from .roots import (
     BudgetExceededError,
@@ -111,6 +115,9 @@ class NotMinCosetRepError(ValueError):
     """The emptiness criterion applies to minimal coset representatives only."""
 
 
+Window = tuple[int, ...]
+
+
 class ArrowKind(enum.Enum):
     LENGTH_PRESERVING = "length_preserving"
     LENGTH_DROP_TWO = "length_drop_two"
@@ -122,12 +129,6 @@ class ReductionArrow:
     s: int
     target: WeylElement
     kind: ArrowKind
-
-
-def conj_by_simple(w: WeylElement, i: int) -> WeylElement:
-    """s_i · w · sigma(s_i), two window products wrapped into one element."""
-    s = _simple_window(w.n, i)
-    return WeylElement(_mul(_mul(s, w.window), _sigma(s)), w.similitude)
 
 
 def _check_indices(n: int, indices: frozenset[int]) -> None:
@@ -144,8 +145,9 @@ def commutes_with_level(n: int, i: int, level: frozenset[int]) -> bool:
 
 
 def _commutes(n: int, i: int, level: frozenset[int]) -> bool:
-    """``commutes_with_level`` on indices already checked."""
-    return i not in level and all((i - j) % n not in (1, n - 1) for j in level)
+    """``commutes_with_level`` on indices already checked: neither i nor its
+    two neighbours on the cyclic diagram lie in the level."""
+    return i not in level and (i - 1) % n not in level and (i + 1) % n not in level
 
 
 def level_is_stable(w: WeylElement, level: frozenset[int]) -> bool:
@@ -157,6 +159,42 @@ def level_is_stable(w: WeylElement, level: frozenset[int]) -> bool:
     return all(image[j] in level for j in level)
 
 
+def _walk(w: WeylElement, steps: Sequence[int], level: Optional[frozenset[int]]
+          ) -> tuple[list[Window], list[int], Optional[ValueError]]:
+    """
+    The superscript word ``steps`` applied to w on the bare window: the
+    windows reached and their lengths from w's on, and the unraised error of
+    the first step that is no admitted arrow, or None.  A step is the left
+    product by s_i, then the right one by sigma(s_i), each adding its own ±1,
+    so Shi's formula measures w alone.  A ``level``'s indices and stability
+    are checked at the first arrow, ``_commutes`` at each: an arrow by s that
+    commutes with a stable level keeps it stable, since for j in the level,
+    with w·sigma(s_j)·w⁻¹ = s_a, s commutes with s_j and with s_a, so the
+    image s·w·sigma(s) sends sigma(s_j) to s·s_a·s = s_a.
+    """
+    n = w.n
+    nodes, lengths = [w.window], [w.length()]
+    for i in reversed(steps):
+        if not 0 <= i < n:
+            raise ValueError(f"simple reflection index {i} out of range for rank {n}")
+        if level is not None:
+            stable = len(nodes) > 1 or level_is_stable(w, level)  # checks the indices
+            if not _commutes(n, i, level):
+                return nodes, lengths, LevelViolationError(
+                    f"s_{i} does not commute with the level {sorted(level)}")
+            if not stable:
+                return nodes, lengths, LevelViolationError(
+                    f"level {sorted(level)} is not stable under the source")
+        left, change = _left_mul(nodes[-1], i)
+        image, more = _right_mul(left, (n - i) % n)
+        if change + more > 0:
+            return nodes, lengths, IncreasingLengthError(
+                f"conjugation by s_{i} increases length by 2")
+        nodes.append(image)
+        lengths.append(lengths[-1] + change + more)
+    return nodes, lengths, None
+
+
 def arrow(w: WeylElement, i: int,
           level: Optional[frozenset[int]] = None) -> ReductionArrow:
     """
@@ -165,25 +203,11 @@ def arrow(w: WeylElement, i: int,
     level: s_i outside the level and commuting with it, and the level stable
     under the twisted conjugation by w.
     """
-    return _arrow(w, w.length(), i, level)
-
-
-def _arrow(w, length: int, i: int, level) -> ReductionArrow:
-    """``arrow`` from w, whose length ``length`` the caller has measured."""
-    if level is not None:
-        if not commutes_with_level(w.n, i, level):
-            raise LevelViolationError(
-                f"s_{i} does not commute with the level {sorted(level)}")
-        if not level_is_stable(w, level):
-            raise LevelViolationError(
-                f"level {sorted(level)} is not stable under the source")
-    t = conj_by_simple(w, i)
-    delta = t.length() - length
-    if delta > 0:
-        raise IncreasingLengthError(
-            f"conjugation by s_{i} increases length by {delta}")
-    kind = ArrowKind.LENGTH_PRESERVING if delta == 0 else ArrowKind.LENGTH_DROP_TWO
-    return ReductionArrow(w, i, t, kind)
+    nodes, lengths, failure = _walk(w, (i,), level)
+    if failure is not None:
+        raise failure
+    kind = ArrowKind.LENGTH_PRESERVING if lengths[1] == lengths[0] else ArrowKind.LENGTH_DROP_TWO
+    return ReductionArrow(w, i, WeylElement(nodes[1], w.similitude), kind)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,26 +226,18 @@ def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
                  level: Optional[frozenset[int]] = None) -> ChainReport:
     """Apply the superscript word ``steps`` (rightmost letter first) to w and
     report whether every step is an admitted arrow and the result equals
-    ``expected``, measuring each node's length once, as its arrow lands.  A
-    ``level`` context is enforced on every step."""
-    cur = w
-    lengths = [w.length()]
-    for idx in reversed(range(len(steps))):
-        try:
-            arr = _arrow(cur, lengths[-1], steps[idx], level)
-        except (IncreasingLengthError, LevelViolationError):
-            return ChainReport(False, tuple(lengths), cur, failed_at=idx)
-        cur = arr.target
-        lengths.append(lengths[-1] - (2 if arr.kind is ArrowKind.LENGTH_DROP_TWO else 0))
-    return ChainReport(cur == expected, tuple(lengths), cur)
+    ``expected``.  The steps run on the bare window (``_walk``): Shi's
+    formula measures w alone, and every later length adds up the changes.
+    A ``level`` context is enforced on every step."""
+    nodes, lengths, failure = _walk(w, steps, level)
+    final = WeylElement(nodes[-1], w.similitude)
+    return ChainReport(failure is None and final == expected, tuple(lengths), final,
+                       None if failure is None else len(steps) - len(nodes))
 
 
 # ---------------------------------------------------------------------------
 # equal-length classes
 # ---------------------------------------------------------------------------
-
-Window = tuple[int, ...]
-
 
 def _class_walk(start: Window, budget: int, letters: Sequence[int],
                 parents: dict[Window, Optional[tuple[Window, int]]]
@@ -331,17 +347,19 @@ class ReductionCertificate:
     level: Optional[frozenset[int]] = None
 
     def verify(self) -> bool:
-        first = verify_chain(self.source, self.to_pivot, self.pivot, self.level)
-        if not (first.valid and len(set(first.lengths)) == 1):
-            return False
-        try:
-            arr = _arrow(self.pivot, first.lengths[-1], self.s, self.level)
-        except (IncreasingLengthError, LevelViolationError):
-            return False
-        if arr.kind is not ArrowKind.LENGTH_DROP_TWO or arr.target != self.dropped:
-            return False
-        second = verify_chain(self.dropped, self.to_target, self.target, self.level)
-        return second.valid and len(set(second.lengths)) == 1
+        """Whether the certificate holds, by one ``_walk`` of its whole word
+        from the source: the length is kept up to ``pivot``, drops by two
+        at s onto ``dropped`` and is kept up to ``target``.  Shi's formula
+        runs once, on the source."""
+        p, sim = len(self.to_pivot), self.source.similitude
+        nodes, lengths, failure = _walk(
+            self.source, (*self.to_target, self.s, *self.to_pivot), self.level)
+        ell = lengths[0]
+        return (failure is None
+                and lengths == [ell] * (p + 1) + [ell - 2] * (len(self.to_target) + 1)
+                and all(x.similitude == sim for x in (self.pivot, self.dropped, self.target))
+                and (nodes[p], nodes[p + 1], nodes[-1])
+                == (self.pivot.window, self.dropped.window, self.target.window))
 
 
 def find_reduction(w: WeylElement, target: WeylElement,

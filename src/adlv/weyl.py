@@ -26,9 +26,10 @@ translation by i -> -λ_{n+1-i}.
 
 Length is Shi's pairwise formula sum_{1 <= i < j <= n} |floor((f(j) - f(i))/n)|;
 the classical double-sum formula over positive roots is kept in the test
-suite as an independent oracle.  `_left_mul` returns the window of s_i·w with
-its length change ±1; reduced words and the Bruhat order peel the smallest
-left descent, read off w⁻¹ by `_left_descents`, until none is left.
+suite as an independent oracle.  `_left_mul` and `_right_mul` return the
+windows of s_i·w and w·s_j with their length changes ±1; reduced words and
+the Bruhat order peel the smallest left descent, read off w⁻¹ by
+`_left_descents`, until none is left.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def _left_mul(window: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
     return tuple(out), -1 if p - window[p] > q - window[q] + 1 else 1
 
 
+def _right_mul(window: tuple[int, ...], j: int) -> tuple[tuple[int, ...], int]:
+    """Window of w ∘ s_j and ℓ(w s_j) − ℓ(w): swap the slots j and j+1, or
+    for j = 0 the slots n and 1, their values shifted by ∓n (s_0 sends 1 to
+    0 and n to n+1); s_j is a descent iff w(j) > w(j+1)."""
+    n = len(window)
+    x, y, shift = (n - 1, 0, n) if j == 0 else (j - 1, j, 0)
+    out = list(window)
+    out[x], out[y] = window[y] + shift, window[x] - shift
+    return tuple(out), -1 if out[y] > window[y] else 1
+
+
 def _left_descents(window: tuple[int, ...]) -> frozenset[int]:
     """All i in 0..n-1 with ℓ(s_i w) < ℓ(w), i.e. w⁻¹(i) > w⁻¹(i+1)."""
     inv = _inv(window)
@@ -128,18 +140,6 @@ def _affine_window(window: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     q, r = divmod(-m, n)
     return tuple([v + q * n for v in window[r:]] +
                  [v + q * n + n for v in window[:r]]), m
-
-
-def _simple_window(n: int, i: int) -> tuple[int, ...]:
-    """The window of s_i, 0 <= i < n."""
-    if not 0 <= i < n:
-        raise ValueError(f"simple reflection index {i} out of range for rank {n}")
-    w = list(range(1, n + 1))
-    if i == 0:
-        w[0], w[n - 1] = 0, n + 1
-    else:
-        w[i - 1], w[i] = i + 1, i
-    return tuple(w)
 
 
 def _finite_part(window: tuple[int, ...]) -> tuple[int, ...]:
@@ -274,7 +274,14 @@ def simple_ref(n: int, i: int) -> WeylElement:
     >>> simple_ref(4, 0).window
     (0, 2, 3, 5)
     """
-    return WeylElement(_simple_window(n, i))
+    if not 0 <= i < n:
+        raise ValueError(f"simple reflection index {i} out of range for rank {n}")
+    w = list(range(1, n + 1))
+    if i == 0:
+        w[0], w[n - 1] = 0, n + 1
+    else:
+        w[i - 1], w[i] = i + 1, i
+    return WeylElement(tuple(w))
 
 
 def translation(lam: Cocharacter) -> WeylElement:

@@ -20,10 +20,20 @@ from adlv.gu import (
     w_kl,
     w_prime,
 )
-from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, supp_sigma
+from adlv.reduction import (
+    ArrowKind,
+    ChainReport,
+    IncreasingLengthError,
+    LevelViolationError,
+    ReductionArrow,
+    commutes_with_level,
+    level_is_stable,
+)
+from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, pos_roots, supp_sigma
 from adlv.weyl import (
     Cocharacter,
     WeylElement,
+    bruhat_leq,
     decompose_xmy,
     from_word,
     omega_shift,
@@ -91,6 +101,14 @@ def length_formula(w: WeylElement) -> int:
             d = lam[i] - lam[j]
             total += abs(d + 1) if u[i] > u[j] else abs(d)
     return total
+
+
+def inv_set(u: WeylElement) -> frozenset[tuple[int, int]]:
+    """Inversions of a finite element: positive roots sent negative."""
+    if not u.is_finite():
+        raise ValueError("inversion set requires a finite element")
+    win = u.window
+    return frozenset((i, j) for (i, j) in pos_roots(u.n) if win[i - 1] > win[j - 1])
 
 
 def subword_products(w: WeylElement) -> frozenset[tuple[int, ...]]:
@@ -219,6 +237,83 @@ def level_is_stable_oracle(w: WeylElement, level: frozenset[int]) -> bool:
             return False
         image.add(got)
     return image == set(level)
+
+
+def conj_by_simple(w: WeylElement, i: int) -> WeylElement:
+    """s_i · w · sigma(s_i) as a product of elements."""
+    s = simple_ref(w.n, i)
+    return s * w * s.sigma()
+
+
+def arrow_reference(w: WeylElement, i: int,
+                    level: frozenset[int] | None = None) -> ReductionArrow:
+    """
+    ``reduction.arrow`` by its definition: the level checks of the source
+    (``commutes_with_level``, then ``level_is_stable``), the product
+    ``conj_by_simple`` and both lengths by Shi's formula.
+    """
+    if level is not None:
+        if not commutes_with_level(w.n, i, level):
+            raise LevelViolationError(f"s_{i} does not commute with the level")
+        if not level_is_stable(w, level):
+            raise LevelViolationError("level is not stable under the source")
+    t = conj_by_simple(w, i)
+    delta = t.length() - w.length()
+    if delta > 0:
+        raise IncreasingLengthError(f"conjugation by s_{i} increases length by {delta}")
+    kind = ArrowKind.LENGTH_PRESERVING if delta == 0 else ArrowKind.LENGTH_DROP_TWO
+    return ReductionArrow(w, i, t, kind)
+
+
+def chain_reference(w: WeylElement, steps, expected: WeylElement,
+                    level: frozenset[int] | None = None) -> ChainReport:
+    """``reduction.verify_chain`` by ``arrow_reference``, one arrow a step,
+    rightmost letter first, every level check made at every step."""
+    cur, lengths = w, [w.length()]
+    for idx in reversed(range(len(steps))):
+        try:
+            cur = arrow_reference(cur, steps[idx], level).target
+        except (IncreasingLengthError, LevelViolationError):
+            return ChainReport(False, tuple(lengths), cur, failed_at=idx)
+        lengths.append(cur.length())
+    return ChainReport(cur == expected, tuple(lengths), cur)
+
+
+def certificate_reference(cert) -> bool:
+    """``ReductionCertificate.verify`` by its definition: the chain to the
+    pivot keeps the length, the arrow by s drops it by two onto ``dropped``,
+    the chain to the target keeps it, all by ``chain_reference`` and
+    ``arrow_reference``."""
+    first = chain_reference(cert.source, cert.to_pivot, cert.pivot, cert.level)
+    if not (first.valid and len(set(first.lengths)) == 1):
+        return False
+    try:
+        drop = arrow_reference(cert.pivot, cert.s, cert.level)
+    except (IncreasingLengthError, LevelViolationError):
+        return False
+    if drop.kind is not ArrowKind.LENGTH_DROP_TWO or drop.target != cert.dropped:
+        return False
+    second = chain_reference(cert.dropped, cert.to_target, cert.target, cert.level)
+    return second.valid and len(set(second.lengths)) == 1
+
+
+def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
+    """Whether w >= u⁻¹ · other · sigma(u) for some finite u (exhaustive over
+    the finite group; guarded to n <= 7).  Each twisted conjugate is tested
+    as it is formed, a repeated one is skipped, and the first one below w
+    answers."""
+    n = w.n
+    if n > 7:
+        raise ValueError("exhaustive twisted-order search is limited to n <= 7")
+    seen = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        u = WeylElement(perm)
+        c = u.inv() * other * u.sigma()
+        if c not in seen:
+            if bruhat_leq(c, w):
+                return True
+            seen.add(c)
+    return False
 
 
 def class_walk_reference(start: WeylElement, letters, parents: dict):

@@ -19,7 +19,6 @@ from adlv.gu import (
     classify_by_criterion,
     closure_leq,
     dim_basic_locus,
-    geq_s_sigma,
     graph_summary,
     load_golden_summary,
     positive_coxeter_closed,
@@ -34,7 +33,6 @@ from adlv.gu import (
 )
 from adlv.reduction import (
     ArrowKind,
-    arrow,
     find_reduction,
     is_empty_basic,
     is_empty_basic_v_form,
@@ -50,10 +48,13 @@ from adlv.weyl import (
     tau1,
 )
 from adlv.gu import b_element
-from adlv.roots import inv_set, phi_w, supp_sigma
+from adlv.roots import phi_w, supp_sigma
 
 from conftest import (
+    arrow_reference,
     canonical_graph_bytes,
+    geq_s_sigma,
+    inv_set,
     iter_ball,
     length_formula,
     subword_products,
@@ -130,19 +131,20 @@ def test_criterion_4_dimensions_and_components():
 
 
 def _reverify_certificate(cert):
-    """Walk the certificate arrow by arrow, independently of cert.verify()."""
+    """Walk the certificate arrow by arrow with the product-form
+    ``arrow_reference``, independently of cert.verify() and of its step."""
     cur = cert.source
     for letter in reversed(cert.to_pivot):
-        a = arrow(cur, letter)
+        a = arrow_reference(cur, letter, cert.level)
         assert a.kind is ArrowKind.LENGTH_PRESERVING
         cur = a.target
     assert cur == cert.pivot
-    a = arrow(cur, cert.s)
+    a = arrow_reference(cur, cert.s, cert.level)
     assert a.kind is ArrowKind.LENGTH_DROP_TWO
     cur = a.target
     assert cur == cert.dropped
     for letter in reversed(cert.to_target):
-        a = arrow(cur, letter)
+        a = arrow_reference(cur, letter, cert.level)
         assert a.kind is ArrowKind.LENGTH_PRESERVING
         cur = a.target
     assert cur == cert.target
@@ -168,6 +170,7 @@ def test_criterion_5_reduction_certificates():
             leveled = find_reduction(w, target, BUDGET, level=s_closed(n, k, l))
             assert leveled is not None and leveled.verify(), \
                 f"no level-certified reduction for ({k},{l}) at n={n}"
+            _reverify_certificate(leveled)
             count += 1
     assert count == 38
     _passed(5, f"reduction certificates ({count} labels, plain and leveled) "

@@ -10,7 +10,7 @@ import pytest
 
 bench_pairs = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"))
-verdict, main = bench_pairs["verdict"], bench_pairs["main"]
+verdict, main, header = bench_pairs["verdict"], bench_pairs["main"], bench_pairs["header"]
 
 PARENT = [0.050, 0.052, 0.048, 0.051, 0.053, 0.049, 0.050, 0.054, 0.047, 0.051]
 
@@ -76,6 +76,7 @@ def test_a_failed_run_drops_its_pair_and_the_series_goes_on(tmp_path, monkeypatc
                                       "--workload", "w", "--pairs", "5", "--seed", "1000"])
     assert main() == 1
     out = capsys.readouterr().out
+    assert out.splitlines()[:2] == header(tmp_path / "parent", change)
     assert "# change run failed (seed 1002): IndexError: list index out of range" in out
     assert "# w: 4 complete of 5 pairs" in out
     assert "# failed runs: parent 0, change 1" in out
@@ -94,3 +95,19 @@ def test_fewer_than_two_complete_pairs_give_no_verdict(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out
     assert "# failed runs: parent 2, change 2" in out
     assert "fewer than 2 complete pairs: no verdict" in out
+
+
+def test_header_names_the_bytecode_cache_and_each_checkouts_source_lines(tmp_path, monkeypatch):
+    for side, sizes in (("parent", (3, 4)), ("change", (2,))):
+        pkg = tmp_path / side / "src" / "adlv"
+        pkg.mkdir(parents=True)
+        for i, size in enumerate(sizes):
+            (pkg / f"m{i}.py").write_text("x = 1\n" * size)
+        (pkg / "notes.txt").write_text("not code\n")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert header(parent, change) == [
+        "# bytecode cache of the runs: not written (PYTHONDONTWRITEBYTECODE=1)",
+        "# src/adlv/*.py lines: parent 7, change 2"]
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert header(parent, change)[0] == "# bytecode cache of the runs: written and reused"

@@ -3,6 +3,8 @@
 import contextlib
 import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +20,6 @@ from adlv.reduction import (
     approx_equiv,
     arrow,
     commutes_with_level,
-    conj_by_simple,
     find_reduction,
     is_empty_basic,
     is_empty_basic_v_form,
@@ -28,8 +29,8 @@ from adlv.reduction import (
     _class_walk,
     _tiered_witness,
 )
-from adlv import gu, roots
-from adlv.roots import (DEFAULT_BUDGET, inv_set, lp_set, phi_w, pos_roots, supp_sigma,
+from adlv import gu, roots, weyl
+from adlv.roots import (DEFAULT_BUDGET, lp_set, phi_w, pos_roots, supp_sigma,
                         _excluded_roots)
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
@@ -37,8 +38,13 @@ from adlv.gu import (StratumClass, classify, s_admissible, s_closed, w_kl,
                      w_prime)
 
 from conftest import (
+    arrow_reference,
+    certificate_reference,
+    chain_reference,
     class_walk_reference,
+    conj_by_simple,
     commutes_with_level_oracle,
+    inv_set,
     level_is_stable_oracle,
     one_letter_per_orbit,
     reduction_search_reference,
@@ -50,6 +56,14 @@ from conftest import (
 
 def _tau_word(n, word):
     return from_word(n, word, omega=-2, similitude=-1)
+
+
+def _outcome(call):
+    """A call's result, or the type of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +114,16 @@ def test_arrow_length_step_is_zero_or_minus_two(w, data):
         expected = (ArrowKind.LENGTH_PRESERVING if delta == 0
                     else ArrowKind.LENGTH_DROP_TWO)
         assert kind is expected
+
+
+@given(weyl_elements(max_n=8, max_len=8), st.data())
+def test_arrow_matches_its_product_form_reference(w, data):
+    # the same arrow, or the same error, as the element product measured by
+    # Shi's formula with the level checked at the step itself
+    i = data.draw(st.integers(0, w.n - 1))
+    level = data.draw(st.none() | st.frozensets(st.integers(0, w.n - 1), max_size=2))
+    assert _outcome(lambda: arrow(w, i, level)) == _outcome(
+        lambda: arrow_reference(w, i, level))
 
 
 @given(weyl_elements(max_n=9, max_len=10))
@@ -165,8 +189,8 @@ def test_counterexample_chain_convention():
 
 @given(weyl_elements(max_n=7, max_len=8), st.data())
 def test_chain_lengths_are_the_node_lengths(w, data):
-    # a chain measures each node's length once, as the arrow into it lands;
-    # the lengths it records are still each node's own
+    # a chain measures its source alone and adds up the arrows' length
+    # changes; the lengths it records are still each node's own
     nodes, word = [w], []
     for _ in range(data.draw(st.integers(0, 6))):
         cur = nodes[-1]
@@ -296,6 +320,11 @@ def test_certificate_verify_rejects_tampering():
     for change in ({"s": 0}, {"s": 2}, {"pivot": cert.dropped},
                    {"dropped": cert.pivot}, {"target": cert.source}):
         assert dataclasses.replace(cert, **change).verify() is False
+    # the same windows under another similitude are other elements
+    for field in ("pivot", "dropped", "target"):
+        x = getattr(cert, field)
+        other = dataclasses.replace(cert, **{field: WeylElement(x.window, x.similitude + 1)})
+        assert other.verify() is certificate_reference(other) is False
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
@@ -443,6 +472,87 @@ def test_leveled_certificate_is_a_plain_certificate():
                                       level=rec.s_w_sigma)
                 assert cert is not None and cert.verify(), (n, rec.label)
                 assert dataclasses.replace(cert, level=None).verify(), (n, rec.label)
+
+
+def _not_dl_certificates():
+    """Every not-DL label's certificate for n = 5..11, plain and at its
+    stable set."""
+    for n in range(5, 12):
+        for rec in gu.stratum_records(n):
+            if rec.stratum_class is StratumClass.NOT_DL:
+                w, target = w_kl(n, *rec.label), w_kl(n, *rec.target)
+                for level in (None, rec.s_w_sigma):
+                    yield find_reduction(w, target, level=level)
+
+
+def _mutants(cert, rng):
+    """The certificate and its seeded single-field mutants: a letter changed
+    or inserted in either word, another s, a small random level."""
+    n, replace = cert.source.n, dataclasses.replace
+    yield cert
+    for field in ("to_pivot", "to_target"):
+        word = getattr(cert, field)
+        for _ in range(3):
+            at = rng.randrange(len(word) + 1)
+            yield replace(cert, **{field: word[:at] + (rng.randrange(n),) + word[at:]})
+            if word:
+                at = rng.randrange(len(word))
+                yield replace(cert, **{field: word[:at] + (rng.randrange(n),) + word[at + 1:]})
+    for s in rng.sample([a for a in range(n) if a != cert.s], 3):
+        yield replace(cert, s=s)
+    for _ in range(3):
+        yield replace(cert, level=frozenset(rng.sample(range(n), rng.randrange(3))))
+
+
+def test_verify_matches_the_product_form_reference_on_mutants():
+    # verify() and verify_chain, which take each step on the bare window, give
+    # what the element-product re-walk gives, on every certificate and mutant:
+    # the two chains, and the whole word as one chain
+    rng, verdicts, certs = random.Random(3301), Counter(), list(_not_dl_certificates())
+    assert len(certs) == 60 and all(certs)
+    for cert in certs:
+        for c in _mutants(cert, rng):
+            got = c.verify()
+            assert got == certificate_reference(c), c
+            verdicts[got] += 1
+            for chain in ((c.source, c.to_pivot, c.pivot),
+                          (c.dropped, c.to_target, c.target),
+                          (c.source, (*c.to_target, c.s, *c.to_pivot), c.target)):
+                assert verify_chain(*chain, c.level) == chain_reference(*chain, c.level), c
+    # some mutants stay certificates (another legal letter, a stable level)
+    assert verdicts[True] > 100 and verdicts[False] > 500, verdicts
+
+
+def test_verify_measures_only_the_source_by_shi(monkeypatch):
+    n, k, l = 11, 4, 10
+    cert = find_reduction(w_kl(n, k, l), w_kl(n, *w_prime(n, k, l)), level=s_closed(n, k, l))
+    assert cert.to_pivot and cert.to_target
+    measured, shi = [], weyl._length
+    monkeypatch.setattr(weyl, "_length", lambda window: measured.append(window) or shi(window))
+    assert cert.verify()
+    assert measured == [cert.source.window]
+
+
+def test_out_of_range_letters_and_levels_raise():
+    n, k, l = 9, 3, 8
+    w, replace = w_kl(n, k, l), dataclasses.replace
+    cert = find_reduction(w, w_kl(n, *w_prime(n, k, l)), level=s_closed(n, k, l))
+    for bad in (n, -1):
+        for c in (replace(cert, s=bad), replace(cert, to_pivot=(bad, *cert.to_pivot)),
+                  replace(cert, to_target=(*cert.to_target, bad)),
+                  replace(cert, level=cert.level | {bad})):
+            with pytest.raises(ValueError, match="out of range"):
+                c.verify()
+            with pytest.raises(ValueError, match="out of range"):
+                certificate_reference(c)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_chain(w, (0, bad), w)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_chain(w, (0,), w, level=frozenset({bad}))
+        with pytest.raises(ValueError, match="out of range"):
+            arrow(w, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            arrow(w, 0, level=frozenset({bad}))
 
 
 # ---------------------------------------------------------------------------

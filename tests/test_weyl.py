@@ -15,7 +15,9 @@ from adlv.weyl import (
     tau1,
     translation,
     _left_mul,
+    _length,
     _mul,
+    _right_mul,
 )
 from adlv.gu import b_element, mu, w_kl
 
@@ -149,13 +151,17 @@ def test_length_against_double_sum_formula(w):
 
 @given(weyl_elements(max_n=9))
 def test_simple_actions_return_product_and_length_change(w):
-    # the right action lives only inside the class walk's kernel, checked
-    # against conj_by_simple by test_incremental_conjugation_delta
-    ell = length_formula(w)
-    for i in range(w.n):
-        product = simple_ref(w.n, i) * w
-        assert _left_mul(w.window, i) == (product.window,
-                                          length_formula(product) - ell)
+    # both one-sided actions, by every letter s_0 included, on w and on
+    # w·tau1, whose Omega-component differs from w's by one; each length
+    # change agrees with the double sum and with Shi's formula
+    for x in (w, w * tau1(w.n)):
+        ell = length_formula(x)
+        for i in range(x.n):
+            for got, product in ((_left_mul(x.window, i), simple_ref(x.n, i) * x),
+                                 (_right_mul(x.window, i), x * simple_ref(x.n, i))):
+                change = length_formula(product) - ell
+                assert got == (product.window, change)
+                assert change == _length(product.window) - _length(x.window)
 
 
 @given(weyl_elements(max_n=9))
