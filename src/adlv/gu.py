@@ -390,11 +390,29 @@ def closure_leq(a: StratumLabel | tuple[int, int],
                 b: StratumLabel | tuple[int, int]) -> bool:
     """Whether stratum a lies in the closure of stratum b, by the
     componentwise order.  The order is exact only when the upper label b is
-    DL: the twisted order (w_b >= u⁻¹·w_a·sigma(u) for some finite u, searched
-    exhaustively in the tests) puts (1,5) below the not-DL (3,4) at n = 5,
-    which this order denies (the tests pin every disagreement and the
-    agreement below each DL label at n <= 6)."""
+    DL: the twisted order ``geq_s_sigma`` puts (1,5) below the not-DL (3,4)
+    at n = 5, which this order denies (the tests pin every disagreement and
+    the agreement below each DL label at n <= 6)."""
     return a[0] <= b[0] and a[1] <= b[1]
+
+
+def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
+    """Whether w >= u⁻¹ · other · sigma(u) for some finite u (exhaustive over
+    the finite group; guarded to n <= 7).  Each twisted conjugate is tested
+    as it is formed, a repeated one is skipped, and the first one below w
+    answers."""
+    n = w.n
+    if n > 7:
+        raise ValueError("exhaustive twisted-order search is limited to n <= 7")
+    seen = set()
+    for perm in itertools.permutations(range(1, n + 1)):
+        u = WeylElement(perm)
+        c = u.inv() * other * u.sigma()
+        if c not in seen:
+            if bruhat_leq(c, w):
+                return True
+            seen.add(c)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -164,21 +164,22 @@ def _walk(w: WeylElement, steps: Sequence[int], level: Optional[frozenset[int]]
     """
     The superscript word ``steps`` applied to w on the bare window: the
     windows reached and their lengths from w's on, and the unraised error of
-    the first step that is no admitted arrow, or None.  A step is the left
-    product by s_i, then the right one by sigma(s_i), each adding its own ±1,
-    so Shi's formula measures w alone.  A ``level``'s indices and stability
-    are checked at the first arrow, ``_commutes`` at each: an arrow by s that
-    commutes with a stable level keeps it stable, since for j in the level,
-    with w·sigma(s_j)·w⁻¹ = s_a, s commutes with s_j and with s_a, so the
-    image s·w·sigma(s) sends sigma(s_j) to s·s_a·s = s_a.
+    the first step that is no admitted arrow, or None.  An out-of-range
+    letter of ``steps`` or index of ``level`` raises ValueError before any
+    step.  A step is the left product by s_i, then the right one by
+    sigma(s_i), each adding its own ±1, so Shi's formula measures w alone.
+    A ``level``'s stability is checked at the first arrow, ``_commutes`` at
+    each: an arrow by s that commutes with a stable level keeps it stable,
+    since for j in the level, with w·sigma(s_j)·w⁻¹ = s_a, s commutes with
+    s_j and with s_a, so the image s·w·sigma(s) sends sigma(s_j) to
+    s·s_a·s = s_a.
     """
     n = w.n
+    _check_indices(n, frozenset(steps) if level is None else level.union(steps))
     nodes, lengths = [w.window], [w.length()]
     for i in reversed(steps):
-        if not 0 <= i < n:
-            raise ValueError(f"simple reflection index {i} out of range for rank {n}")
         if level is not None:
-            stable = len(nodes) > 1 or level_is_stable(w, level)  # checks the indices
+            stable = len(nodes) > 1 or level_is_stable(w, level)
             if not _commutes(n, i, level):
                 return nodes, lengths, LevelViolationError(
                     f"s_{i} does not commute with the level {sorted(level)}")
@@ -228,7 +229,9 @@ def verify_chain(w: WeylElement, steps: tuple[int, ...] | list[int],
     report whether every step is an admitted arrow and the result equals
     ``expected``.  The steps run on the bare window (``_walk``): Shi's
     formula measures w alone, and every later length adds up the changes.
-    A ``level`` context is enforced on every step."""
+    A ``level`` context is enforced on every step.  An out-of-range letter
+    anywhere in ``steps`` or index in ``level`` raises ValueError, even
+    after a step that is no admitted arrow."""
     nodes, lengths, failure = _walk(w, steps, level)
     final = WeylElement(nodes[-1], w.similitude)
     return ChainReport(failure is None and final == expected, tuple(lengths), final,
@@ -350,7 +353,9 @@ class ReductionCertificate:
         """Whether the certificate holds, by one ``_walk`` of its whole word
         from the source: the length is kept up to ``pivot``, drops by two
         at s onto ``dropped`` and is kept up to ``target``.  Shi's formula
-        runs once, on the source."""
+        runs once, on the source.  An out-of-range letter anywhere in the
+        word or index in the level raises ValueError, even where a wrong
+        pivot or an earlier arrow would already make the answer False."""
         p, sim = len(self.to_pivot), self.source.similitude
         nodes, lengths, failure = _walk(
             self.source, (*self.to_target, self.s, *self.to_pivot), self.level)

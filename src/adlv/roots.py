@@ -83,6 +83,14 @@ def pos_roots(n: int) -> list[Root]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def inv_set(u: WeylElement) -> frozenset[Root]:
+    """Inversions of a finite element: positive roots sent negative."""
+    if not u.is_finite():
+        raise ValueError("inversion set requires a finite element")
+    win = u.window
+    return frozenset((i, j) for (i, j) in pos_roots(u.n) if win[i - 1] > win[j - 1])
+
+
 def phi_w(w: WeylElement) -> frozenset[Root]:
     """The positive roots along which w is length-neutral (see module docstring)."""
     x, lam, y = decompose_xmy(w)

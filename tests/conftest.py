@@ -29,11 +29,10 @@ from adlv.reduction import (
     commutes_with_level,
     level_is_stable,
 )
-from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, pos_roots, supp_sigma
+from adlv.roots import DEFAULT_BUDGET, _iter_inv_ideal, phi_w, supp_sigma
 from adlv.weyl import (
     Cocharacter,
     WeylElement,
-    bruhat_leq,
     decompose_xmy,
     from_word,
     omega_shift,
@@ -101,14 +100,6 @@ def length_formula(w: WeylElement) -> int:
             d = lam[i] - lam[j]
             total += abs(d + 1) if u[i] > u[j] else abs(d)
     return total
-
-
-def inv_set(u: WeylElement) -> frozenset[tuple[int, int]]:
-    """Inversions of a finite element: positive roots sent negative."""
-    if not u.is_finite():
-        raise ValueError("inversion set requires a finite element")
-    win = u.window
-    return frozenset((i, j) for (i, j) in pos_roots(u.n) if win[i - 1] > win[j - 1])
 
 
 def subword_products(w: WeylElement) -> frozenset[tuple[int, ...]]:
@@ -295,25 +286,6 @@ def certificate_reference(cert) -> bool:
         return False
     second = chain_reference(cert.dropped, cert.to_target, cert.target, cert.level)
     return second.valid and len(set(second.lengths)) == 1
-
-
-def geq_s_sigma(w: WeylElement, other: WeylElement) -> bool:
-    """Whether w >= u⁻¹ · other · sigma(u) for some finite u (exhaustive over
-    the finite group; guarded to n <= 7).  Each twisted conjugate is tested
-    as it is formed, a repeated one is skipped, and the first one below w
-    answers."""
-    n = w.n
-    if n > 7:
-        raise ValueError("exhaustive twisted-order search is limited to n <= 7")
-    seen = set()
-    for perm in itertools.permutations(range(1, n + 1)):
-        u = WeylElement(perm)
-        c = u.inv() * other * u.sigma()
-        if c not in seen:
-            if bruhat_leq(c, w):
-                return True
-            seen.add(c)
-    return False
 
 
 def class_walk_reference(start: WeylElement, letters, parents: dict):

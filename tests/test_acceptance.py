@@ -19,6 +19,7 @@ from adlv.gu import (
     classify_by_criterion,
     closure_leq,
     dim_basic_locus,
+    geq_s_sigma,
     graph_summary,
     load_golden_summary,
     positive_coxeter_closed,
@@ -48,13 +49,11 @@ from adlv.weyl import (
     tau1,
 )
 from adlv.gu import b_element
-from adlv.roots import phi_w, supp_sigma
+from adlv.roots import inv_set, phi_w, supp_sigma
 
 from conftest import (
     arrow_reference,
     canonical_graph_bytes,
-    geq_s_sigma,
-    inv_set,
     iter_ball,
     length_formula,
     subword_products,

@@ -14,6 +14,7 @@ from adlv.gu import (
     classify_by_criterion,
     closure_leq,
     dim_basic_locus,
+    geq_s_sigma,
     graph_summary,
     load_golden_summary,
     mu,
@@ -35,7 +36,6 @@ from adlv.weyl import WeylElement, from_word, identity, simple_ref, translation
 from conftest import (
     canonical_graph_bytes,
     dim_stratum_recursive,
-    geq_s_sigma,
     s_adm_subword_reference,
     w0_element,
     w_kl_product,

@@ -30,7 +30,7 @@ from adlv.reduction import (
     _tiered_witness,
 )
 from adlv import gu, roots, weyl
-from adlv.roots import (DEFAULT_BUDGET, lp_set, phi_w, pos_roots, supp_sigma,
+from adlv.roots import (DEFAULT_BUDGET, inv_set, lp_set, phi_w, pos_roots, supp_sigma,
                         _excluded_roots)
 from adlv.weyl import (WeylElement, bruhat_leq, decompose_xmy, from_word, identity,
                        simple_ref, translation)
@@ -44,7 +44,6 @@ from conftest import (
     class_walk_reference,
     conj_by_simple,
     commutes_with_level_oracle,
-    inv_set,
     level_is_stable_oracle,
     one_letter_per_orbit,
     reduction_search_reference,
@@ -553,6 +552,21 @@ def test_out_of_range_letters_and_levels_raise():
             arrow(w, bad)
         with pytest.raises(ValueError, match="out of range"):
             arrow(w, 0, level=frozenset({bad}))
+        # malformed input raises even where the product-form re-walk stops
+        # early with False: a wrong pivot, or an arrow that is not admitted,
+        # before the bad letter; an empty word with a bad level index
+        ascent = next(i for i in range(n) if conj_by_simple(w, i).length() > w.length())
+        for c in (replace(cert, pivot=cert.dropped, to_target=(*cert.to_target, bad)),
+                  replace(cert, to_pivot=(bad, *cert.to_pivot, ascent))):
+            assert not certificate_reference(c)
+            with pytest.raises(ValueError, match="out of range"):
+                c.verify()
+        assert not chain_reference(w, (bad, ascent), w)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_chain(w, (bad, ascent), w)
+        assert chain_reference(w, (), w, frozenset({bad}))
+        with pytest.raises(ValueError, match="out of range"):
+            verify_chain(w, (), w, level=frozenset({bad}))
 
 
 # ---------------------------------------------------------------------------

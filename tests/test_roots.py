@@ -11,6 +11,7 @@ from adlv.roots import (
     BudgetExceededError,
     _iter_inv_ideal,
     _proper_twisted_support,
+    inv_set,
     is_sigma_coxeter,
     is_sigma_coxeter_finite,
     lp_set,
@@ -30,7 +31,6 @@ from conftest import (
     all_perm_elements,
     commutes_with_level_oracle,
     delta_plus,
-    inv_set,
     level_is_stable_oracle,
     one_letter_per_orbit,
     s_w_sigma_oracle,
